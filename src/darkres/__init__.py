@@ -55,6 +55,7 @@ from .steady_state import (
     residual,
     solve_linear,
     steady_state,
+    steady_state_derivative,
 )
 from .sweep import (
     Axis,
@@ -72,7 +73,7 @@ __all__ = [
     "SystemParams", "MediumParams", "DampingTable", "Regime", "RegimeFlag",
     "validate_params", "damping_table",
     "DensityMatrix", "LinearProblem", "assemble", "solve_linear",
-    "steady_state", "residual",
+    "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian",
     "rho23_weak_probe", "rho23_limit", "rho23_incoherent",
     "spike_half_width", "lambda_threshold", "group_index_analytic",

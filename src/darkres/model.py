@@ -16,7 +16,7 @@ converting to susceptibility and group index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ParameterError
@@ -46,6 +46,9 @@ class SystemParams:
     lambda_pump: float = 0.0
 
 
+PARAM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SystemParams))
+
+
 @dataclass(frozen=True)
 class MediumParams:
     """Medium properties needed to convert coherence into susceptibility.
@@ -61,13 +64,23 @@ class MediumParams:
     gamma_si: float = 0.0  # rad/s; 0 means "not supplied"
 
     def check(self) -> None:
-        if not self.number_density > 0:
-            raise ParameterError("number density must be > 0", code="NEGATIVE_RATE")
-        if not self.probe_wavelength > 0:
-            raise ParameterError("probe wavelength must be > 0", code="NEGATIVE_RATE")
+        """Reject non-finite or out-of-range medium properties; the
+        comparisons are written so that NaN fails them."""
+        if not 0 < self.number_density < math.inf:
+            raise ParameterError(
+                "number density must be finite and > 0", code="NEGATIVE_RATE"
+            )
+        if not 0 < self.probe_wavelength < math.inf:
+            raise ParameterError(
+                "probe wavelength must be finite and > 0", code="NEGATIVE_RATE"
+            )
         if not 0 < self.gamma23_over_gamma <= 1:
             raise ParameterError(
                 "gamma23/gamma must lie in (0, 1]", code="NEGATIVE_RATE"
+            )
+        if not 0 <= self.gamma_si < math.inf:
+            raise ParameterError(
+                "gamma_SI must be finite and >= 0", code="NEGATIVE_RATE"
             )
 
 
@@ -107,16 +120,21 @@ class RegimeFlag:
 
 
 def check_params(p: SystemParams) -> None:
-    """Reject structurally invalid parameters with a named violation."""
+    """Reject structurally invalid parameters with a named violation.
+
+    Every field must be finite, and the Rabi frequencies and rates >= 0;
+    the comparisons are written so that NaN fails them.
+    """
+    for name in PARAM_FIELDS:
+        if not math.isfinite(getattr(p, name)):
+            code = "NONFINITE_DETUNING" if name.startswith("delta") else "NONFINITE_PARAMETER"
+            raise ParameterError(f"{name} must be finite", code=code)
     for name in ("g41", "g42", "g_p"):
-        if getattr(p, name) < 0:
+        if not getattr(p, name) >= 0:
             raise ParameterError(f"{name} must be >= 0", code="NEGATIVE_RABI")
     for name in ("gamma41", "gamma42", "gamma23", "gamma13", "lambda_pump"):
-        if getattr(p, name) < 0:
+        if not getattr(p, name) >= 0:
             raise ParameterError(f"{name} must be >= 0", code="NEGATIVE_RATE")
-    for name in ("delta41", "delta42", "delta_p"):
-        if not math.isfinite(getattr(p, name)):
-            raise ParameterError(f"{name} must be finite", code="NONFINITE_DETUNING")
 
 
 def validate_params(p: SystemParams) -> list[RegimeFlag]:

@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .analytic import (
     rho23_incoherent,
     rho23_limit,
@@ -27,7 +25,7 @@ from .analytic import (
 )
 from .errors import ConfigError, NumericError, ParameterError
 from .model import MediumParams, SystemParams
-from .steady_state import steady_state
+from .steady_state import steady_state, steady_state_derivative
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +38,9 @@ ZERO_IM_TOL = 1e-8
 SIGN_FLOOR = 1e-12
 ZERO_REL_TOL = 1e-6
 THRESHOLD_REL_TOL = 1e-3
-SCAN_POINTS = 200
+# Evaluations before a bracketed Newton search gives up; bisection alone
+# shrinks a bracket by 2**-100 in that many.
+NEWTON_MAX_ITER = 100
 SLOPE_AGREEMENT = 0.05
 
 
@@ -147,6 +147,19 @@ def chi_spectrum(
     return points
 
 
+def _im_chi_and_derivative(
+    p: SystemParams, m: MediumParams, wrt: str
+) -> tuple[float, float]:
+    """chi'' at ``p`` and its exact derivative with respect to the
+    ``SystemParams`` field ``wrt``: chi is linear in rho23."""
+    dm = steady_state(p)
+    drho = steady_state_derivative(p, dm, wrt)
+    return (
+        susceptibility(dm.element(2, 3), m, p.g_p).imag,
+        susceptibility(complex(drho[1, 2]), m, p.g_p).imag,
+    )
+
+
 def default_step(p: SystemParams) -> float:
     """Finite-difference step resolving the narrowest spectral scale:
     1e-2 times the smaller of the pump rate and the spike half width,
@@ -224,16 +237,52 @@ def group_index(
     return 1.0 + 2 * math.pi * chi_prime + 2 * math.pi * omega_p * slope / m.gamma_si
 
 
-def _first_sign_change(
-    xs: np.ndarray, values: np.ndarray
-) -> tuple[float, float] | None:
-    """First adjacent pair with strictly opposite-signed values, ignoring
-    numerical zeros."""
-    signs = np.where(np.abs(values) <= SIGN_FLOOR, 0.0, np.sign(values))
-    for k in range(len(xs) - 1):
-        if signs[k] * signs[k + 1] < 0:
-            return float(xs[k]), float(xs[k + 1])
-    return None
+def _opposite_signs(fa: float, fb: float) -> bool:
+    """True when both values carry a usable sign (above ``SIGN_FLOOR``)
+    and the signs are strictly opposite."""
+    return abs(fa) > SIGN_FLOOR and abs(fb) > SIGN_FLOOR and fa * fb < 0
+
+
+def _bracketed_newton(
+    f: Callable[[float], tuple[float, float]],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    rel_tol: float = 0.0,
+    abs_tol: float = 0.0,
+) -> float:
+    """Root of ``f`` in (a, b), given end values ``fa`` and ``fb`` of
+    strictly opposite sign; ``f(x)`` returns the value and the derivative.
+
+    Safeguarded Newton (Brent 1973, ch. 4): start at the secant point of
+    the ends, shrink the bracket to the sign change at every evaluation,
+    and take the bisection step whenever the Newton step leaves the
+    bracket (or is undefined).  Stops when a step is no larger than
+    ``abs_tol + rel_tol * |x|``; raises ``NO_CONVERGENCE`` after
+    ``NEWTON_MAX_ITER`` evaluations.
+    """
+    x = a - fa * (b - a) / (fb - fa)
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    for _ in range(NEWTON_MAX_ITER):
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+        else:
+            b = x
+        x_new = x - fx / dfx if dfx != 0 else math.nan
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        if abs(x_new - x) <= abs_tol + rel_tol * abs(x_new):
+            return x_new
+        x = x_new
+    raise NumericError(
+        f"root finder did not converge in {NEWTON_MAX_ITER} steps",
+        code="NO_CONVERGENCE",
+    )
 
 
 def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
@@ -257,12 +306,17 @@ def find_absorption_zero(
 ) -> float:
     """Probe detuning at which the absorption chi'' crosses zero.
 
-    A coarse sign scan of the bracket locates the first crossing, which
-    bisection then refines to relative tolerance 1e-6.  Uses the numeric
-    route only: the crossing arises from the interplay of the gain feature
-    with the Autler-Townes background, which no single closed form
-    captures.  Raises ``NO_SIGN_CHANGE`` when chi'' is single-signed over
-    the bracket (pump below the onset of transparency).
+    chi'' must carry strictly opposite signs at the two bracket ends
+    (|chi''| <= ``SIGN_FLOOR`` counts as no sign); safeguarded Newton on
+    the exact detuning derivative of the steady state then refines the
+    crossing to relative tolerance 1e-6, and one more solve verifies
+    |chi''| <= 1e-8 there.  Raises ``NO_SIGN_CHANGE`` when the ends share
+    a sign: when chi'' is single-signed over the bracket (pump below the
+    onset of transparency), and also when the bracket holds an even
+    number of crossings, e.g. one straddling the whole gain core.
+    Uses the numeric route only: the crossing arises from the interplay of
+    the gain feature with the Autler-Townes background, which no single
+    closed form captures.
     """
     lo, hi = bracket
     if not hi > lo:
@@ -271,26 +325,17 @@ def find_absorption_zero(
     def im_chi(d: float) -> float:
         return chi_at(p, m, d, Method.NUMERIC).imag
 
-    xs = np.linspace(lo, hi, SCAN_POINTS + 1)
-    pair = _first_sign_change(xs, np.array([im_chi(x) for x in xs]))
-    if pair is None:
+    def im_chi_and_slope(d: float) -> tuple[float, float]:
+        return _im_chi_and_derivative(replace(p, delta_p=d), m, "delta_p")
+
+    f_lo, f_hi = im_chi(lo), im_chi(hi)
+    if not _opposite_signs(f_lo, f_hi):
         raise NumericError(
-            "absorption does not change sign over the bracket",
+            "absorption does not change sign between the bracket ends",
             code="NO_SIGN_CHANGE",
         )
-    a, b = pair
-    fa = im_chi(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if (b - a) <= ZERO_REL_TOL * max(abs(a), abs(b)):
-            break
-        fm = im_chi(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    root = 0.5 * (a + b)
-    if abs(im_chi(root)) > ZERO_IM_TOL:
+    root = _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=ZERO_REL_TOL)
+    if not abs(im_chi(root)) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
         )
@@ -309,7 +354,9 @@ def find_absorption_zero_auto(
     sign change is found: for strong drives the crossing sits many gain
     half widths out (the gain wing decays slowly against a background
     suppressed by optical pumping), beyond any fixed small multiple of
-    the feature scale.  ``side`` selects the positive or negative
+    the feature scale.  Each bracket is tried by ``find_absorption_zero``,
+    so a bracket whose ends share a sign is a miss (two solves) and the
+    next decade is tried.  ``side`` selects the positive or negative
     detuning half-axis.
     """
     lo, hi = auto_zero_bracket(p)
@@ -334,11 +381,12 @@ def find_gain_threshold(
 ) -> float:
     """Pump rate at which the resonant absorption turns into gain.
 
-    Scans chi''(delta_p = 0) over the pump range (log-spaced when the
-    range is positive), then bisects the first sign change to relative
-    tolerance 1e-3.  Raises ``NO_SIGN_CHANGE`` when the resonant response
-    never inverts, e.g. without the coupling field there is no feature to
-    invert.
+    chi''(delta_p = 0) must carry strictly opposite signs at the two ends
+    of the pump range; safeguarded Newton on the exact pump derivative of
+    the steady state then refines the sign change to relative tolerance
+    1e-3, in u = ln(lambda) when the range is positive and in lambda when
+    it starts at 0.  Raises ``NO_SIGN_CHANGE`` when the ends share a sign,
+    e.g. without the coupling field there is no feature to invert.
     """
     lo, hi = lambda_range
     if not hi > lo or lo < 0:
@@ -349,28 +397,31 @@ def find_gain_threshold(
     def im_chi(lam: float) -> float:
         return chi_at(replace(p, lambda_pump=lam), m, 0.0, Method.NUMERIC).imag
 
-    if lo > 0:
-        xs = np.geomspace(lo, hi, SCAN_POINTS + 1)
-    else:
-        xs = np.linspace(lo, hi, SCAN_POINTS + 1)
-    pair = _first_sign_change(xs, np.array([im_chi(x) for x in xs]))
-    if pair is None:
+    def im_chi_and_slope(lam: float) -> tuple[float, float]:
+        return _im_chi_and_derivative(
+            replace(p, lambda_pump=lam, delta_p=0.0), m, "lambda_pump"
+        )
+
+    f_lo, f_hi = im_chi(lo), im_chi(hi)
+    if not _opposite_signs(f_lo, f_hi):
         raise NumericError(
             "resonant absorption does not change sign over the pump range",
             code="NO_SIGN_CHANGE",
         )
-    a, b = pair
-    fa = im_chi(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if (b - a) <= THRESHOLD_REL_TOL * max(abs(a), abs(b)):
-            break
-        fm = im_chi(mid)
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    if lo == 0:
+        return _bracketed_newton(
+            im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=THRESHOLD_REL_TOL
+        )
+
+    def in_log(u: float) -> tuple[float, float]:
+        lam = math.exp(u)
+        value, slope = im_chi_and_slope(lam)
+        return value, lam * slope
+
+    u = _bracketed_newton(
+        in_log, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=THRESHOLD_REL_TOL
+    )
+    return math.exp(u)
 
 
 def locate_features(

@@ -9,17 +9,26 @@ independent cross-checks.
 
 Keeping all 16 entries (rather than a 15-real parametrization) means the
 equations are transcribed one-to-one; Hermiticity of the solution is then
-a non-trivial consistency check performed after the solve.
+a non-trivial consistency check performed after the solve.  The matrix
+is affine in every parameter, so the exact parameter derivative of the
+steady state costs one more solve with the same matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericError
-from .model import DampingTable, SystemParams, check_params, damping_table
+from .model import (
+    PARAM_FIELDS,
+    DampingTable,
+    SystemParams,
+    check_params,
+    damping_table,
+)
 
 # Pivot smaller than this fraction of its column's initial magnitude is
 # treated as a true singularity rather than conditioning noise.
@@ -56,22 +65,23 @@ class DensityMatrix:
         return complex(np.trace(self.rho))
 
     def validate(self) -> None:
-        """Check Hermiticity, unit trace and population bounds."""
+        """Check Hermiticity, unit trace and population bounds; the
+        comparisons are written so that NaN fails them."""
         defect = np.max(np.abs(self.rho - self.rho.conj().T))
-        if defect > HERMITICITY_TOL:
+        if not defect <= HERMITICITY_TOL:
             raise NumericError(
                 f"solution not Hermitian (defect {defect:.3e})", code="BAD_SOLUTION"
             )
-        if abs(self.trace - 1.0) > TRACE_TOL:
+        if not abs(self.trace - 1.0) <= TRACE_TOL:
             raise NumericError(
                 f"trace deviates from 1 by {abs(self.trace - 1.0):.3e}",
                 code="BAD_SOLUTION",
             )
         pops = np.diag(self.rho)
-        if np.max(np.abs(pops.imag)) > HERMITICITY_TOL:
+        if not np.max(np.abs(pops.imag)) <= HERMITICITY_TOL:
             raise NumericError("complex population", code="BAD_SOLUTION")
-        if np.any(pops.real < -POPULATION_TOL) or np.any(
-            pops.real > 1.0 + POPULATION_TOL
+        if not np.all(
+            (pops.real >= -POPULATION_TOL) & (pops.real <= 1.0 + POPULATION_TOL)
         ):
             raise NumericError("population outside [0, 1]", code="BAD_SOLUTION")
 
@@ -257,6 +267,52 @@ def steady_state(p: SystemParams) -> DensityMatrix:
     dm = DensityMatrix(rho=x.reshape(4, 4))
     dm.validate()
     return dm
+
+
+@lru_cache(maxsize=None)
+def _parameter_basis(wrt: str) -> np.ndarray:
+    """dA/dtheta for the field ``wrt``: the system matrix is affine in
+    every field, so the unit-field assembly minus the all-zero one is exact
+    (entries 0, +-1, +-2, +-i)."""
+    zero = SystemParams()
+    unit = replace(zero, **{wrt: 1.0})
+    basis = assemble(unit, damping_table(unit)).matrix - assemble(
+        zero, damping_table(zero)
+    ).matrix
+    basis.setflags(write=False)
+    return basis
+
+
+def steady_state_derivative(
+    p: SystemParams, dm: DensityMatrix, wrt: str
+) -> np.ndarray:
+    """Exact derivative d(rho)/d(theta) of the steady state ``dm`` of ``p``
+    with respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
+
+    A(theta) x = b with A affine in theta and b fixed, so A dx = -B x with
+    B = dA/dtheta: one more solve with the same matrix.  Raises
+    ``BAD_SOLUTION`` when d(rho) is not Hermitian or not traceless to
+    ``HERMITICITY_TOL`` / ``TRACE_TOL`` relative to its largest entry.
+    """
+    if wrt not in PARAM_FIELDS:
+        raise ValueError(f"unknown parameter {wrt!r}")
+    lp = assemble(p, damping_table(p))
+    rhs = -(_parameter_basis(wrt) @ dm.rho.reshape(16))
+    drho = solve_linear(replace(lp, rhs=rhs)).reshape(4, 4)
+    scale = np.max(np.abs(drho))
+    defect = np.max(np.abs(drho - drho.conj().T))
+    if not defect <= HERMITICITY_TOL * scale:
+        raise NumericError(
+            f"derivative not Hermitian (defect {defect:.3e} of {scale:.3e})",
+            code="BAD_SOLUTION",
+        )
+    drift = abs(np.trace(drho))
+    if not drift <= TRACE_TOL * scale:
+        raise NumericError(
+            f"derivative trace {drift:.3e} not zero (scale {scale:.3e})",
+            code="BAD_SOLUTION",
+        )
+    return drho
 
 
 def residual(p: SystemParams, dm: DensityMatrix) -> float:

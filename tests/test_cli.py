@@ -64,6 +64,14 @@ class TestExitCodes:
         assert code == 2
         assert "PARSE_ERROR" in err
 
+    @pytest.mark.parametrize("setting", ["gamma41=nan", "g42=inf"])
+    def test_nonfinite_parameter_is_parameter_error(self, spike_file, capsys, setting):
+        code, _, err = run_cli(
+            ["spectrum", "--config", str(spike_file), "--set", setting], capsys
+        )
+        assert code == 2
+        assert "NONFINITE_PARAMETER" in err
+
     def test_numeric_error_without_pump(self, spike_file, capsys):
         code, _, err = run_cli(["zero", "--config", str(spike_file)], capsys)
         assert code == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from darkres import (
+    MediumParams,
     ParameterError,
     Regime,
     SystemParams,
@@ -86,6 +87,21 @@ class TestValidateParams:
         with pytest.raises(ParameterError) as exc:
             validate_params(SystemParams(delta_p=math.nan))
         assert exc.value.code == "NONFINITE_DETUNING"
+
+    @pytest.mark.parametrize("name", ["g41", "g42", "g_p", "gamma41", "gamma13", "lambda_pump"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_field_rejected(self, name, value):
+        with pytest.raises(ParameterError) as exc:
+            validate_params(SystemParams(**{name: value}))
+        assert exc.value.code == "NONFINITE_PARAMETER"
+
+    @pytest.mark.parametrize(
+        "name", ["number_density", "probe_wavelength", "gamma23_over_gamma", "gamma_si"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_medium_rejected(self, name, value):
+        with pytest.raises(ParameterError):
+            replace(MediumParams(), **{name: value}).check()
 
     def test_pure(self, pumped_config):
         assert validate_params(pumped_config) == validate_params(pumped_config)

@@ -12,7 +12,9 @@ from darkres import (
     rho23_weak_probe,
     solve_linear,
     steady_state,
+    steady_state_derivative,
 )
+from darkres.model import PARAM_FIELDS
 from darkres.steady_state import DensityMatrix, LinearProblem, _index
 
 
@@ -232,6 +234,60 @@ class TestSteadyState:
                 continue
             worst = max(worst, abs(numeric - rho23_weak_probe(p)) / abs(numeric))
         assert worst <= 1.1e-2  # saturation at the exact feature center is ~1%
+
+
+class TestValidate:
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (3, 3)])
+    def test_nan_entry_rejected(self, where):
+        rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+        rho[where] = np.nan
+        with pytest.raises(NumericError) as exc:
+            DensityMatrix(rho=rho).validate()
+        assert exc.value.code == "BAD_SOLUTION"
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("wrt, h", [("delta_p", 1e-8), ("lambda_pump", 1e-9)])
+    def test_matches_central_difference(self, pumped_config, wrt, h):
+        p = replace(pumped_config, delta_p=1e-4)
+        exact = steady_state_derivative(p, steady_state(p), wrt)
+        value = getattr(p, wrt)
+        plus = steady_state(replace(p, **{wrt: value + h})).rho
+        minus = steady_state(replace(p, **{wrt: value - h})).rho
+        central = (plus - minus) / (2 * h)
+        assert np.max(np.abs(central - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+    def test_every_field_randomized(self):
+        """Against a central difference of the linear system itself: the
+        matrix is affine in every field, so the difference is exact up to
+        the solves' rounding."""
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            p = random_valid_params(rng)
+            dm = steady_state(p)
+            for wrt in PARAM_FIELDS:
+                exact = steady_state_derivative(p, dm, wrt)
+                h = 1e-6 * max(1.0, abs(getattr(p, wrt)))
+                plus = steady_state(replace(p, **{wrt: getattr(p, wrt) + h})).rho
+                minus = steady_state(replace(p, **{wrt: getattr(p, wrt) - h})).rho
+                central = (plus - minus) / (2 * h)
+                scale = max(np.max(np.abs(exact)), 1e-12)
+                assert np.max(np.abs(central - exact)) <= 1e-4 * scale, wrt
+
+    def test_hermitian_and_traceless(self, pumped_config):
+        d = steady_state_derivative(pumped_config, steady_state(pumped_config), "g42")
+        assert np.max(np.abs(d - d.conj().T)) <= 1e-12 * np.max(np.abs(d))
+        assert abs(np.trace(d)) <= 1e-12 * np.max(np.abs(d))
+
+    def test_nan_state_rejected(self, pumped_config):
+        rho = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(NumericError) as exc:
+            steady_state_derivative(pumped_config, DensityMatrix(rho=rho), "delta_p")
+        assert exc.value.code == "BAD_SOLUTION"
+
+    def test_unknown_field(self, pumped_config):
+        with pytest.raises(ValueError):
+            steady_state_derivative(pumped_config, steady_state(pumped_config), "g43")
 
 
 class TestResidual:
