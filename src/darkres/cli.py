@@ -74,7 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_METHOD_FLAGS),
         help="susceptibility computation route",
     )
-    common.add_argument("--jobs", type=int, default=1, help="parallel grid workers")
+    common.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored: grid points are evaluated serially",
+    )
     common.add_argument(
         "--set",
         dest="overrides",
@@ -121,12 +126,12 @@ def _emit(table: SweepTable, out: Path | None) -> None:
 
 def _cmd_spectrum(spec: SweepSpec, args: argparse.Namespace) -> int:
     spec = replace(spec, axis=Axis.DELTA_P, outputs=(Output.CHI_RE, Output.CHI_IM))
-    _emit(run_sweep(spec, jobs=args.jobs), args.out)
+    _emit(run_sweep(spec), args.out)
     return 0
 
 
 def _cmd_sweep(spec: SweepSpec, args: argparse.Namespace) -> int:
-    _emit(run_sweep(spec, jobs=args.jobs), args.out)
+    _emit(run_sweep(spec), args.out)
     return 0
 
 

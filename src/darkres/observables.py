@@ -3,10 +3,13 @@
 The probe-transition coherence from either the numeric solver or one of
 the closed forms is converted into the complex susceptibility
 chi = chi' + i*chi''; chi'' > 0 is absorption, chi'' < 0 gain.  On top of
-that sit numeric derivative and root-finding utilities: the dispersion
-slope (central differences with step-halving verification), the group
-index, the detunings of vanishing absorption, and the pump strength at
-which the narrow absorption feature turns into gain.
+that sit derivative and root-finding utilities: the dispersion slope and
+the group index, the detunings of vanishing absorption, and the pump
+strength at which the narrow absorption feature turns into gain.  On the
+numeric route every derivative is exact, from the same factorization as
+the steady state it differentiates; central differences with step-halving
+verification remain only for the closed forms and injected dispersion
+functions.
 """
 
 from __future__ import annotations
@@ -147,17 +150,29 @@ def chi_spectrum(
     return points
 
 
-def _im_chi_and_derivative(
+def _chi_and_derivative(
     p: SystemParams, m: MediumParams, wrt: str
-) -> tuple[float, float]:
-    """chi'' at ``p`` and its exact derivative with respect to the
-    ``SystemParams`` field ``wrt``: chi is linear in rho23."""
+) -> tuple[complex, complex]:
+    """Numeric chi at ``p`` and its exact derivative with respect to the
+    ``SystemParams`` field ``wrt``, from one factorization: chi is linear
+    in rho23."""
     dm = steady_state(p)
     drho = steady_state_derivative(p, dm, wrt)
     return (
-        susceptibility(dm.element(2, 3), m, p.g_p).imag,
-        susceptibility(complex(drho[1, 2]), m, p.g_p).imag,
+        susceptibility(dm.element(2, 3), m, p.g_p),
+        susceptibility(complex(drho[1, 2]), m, p.g_p),
     )
+
+
+def _exact_slope_route(
+    h: float | None, method: Method, chi_real: Callable[[float], float] | None
+) -> bool:
+    """True when the detuning derivative is exact: the numeric method
+    with no injected dispersion function.  A supplied step must be > 0
+    on either route, though only finite differences use it."""
+    if h is not None and not h > 0:
+        raise ConfigError("finite-difference step must be > 0", code="RANGE_ERROR")
+    return method is Method.NUMERIC and chi_real is None
 
 
 def default_step(p: SystemParams) -> float:
@@ -179,9 +194,14 @@ def dispersion_slope(
     method: Method = Method.NUMERIC,
     chi_real: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
-    """Slope of the dispersion chi' with respect to the probe detuning.
+    """Slope of the dispersion chi' with respect to the probe detuning, as
+    (slope, error estimate).
 
-    Central difference at steps h and h/2; the step-halving (Richardson)
+    On the numeric route (``method`` NUMERIC, no ``chi_real``) the slope
+    is the exact detuning derivative of the steady state, one solve with
+    one reused factorization, and the error estimate is 0; ``h`` is not
+    used there.  Otherwise: central difference at steps h and h/2
+    (default :func:`default_step`); the step-halving (Richardson)
     combination supplies the returned value and a truncation-error
     estimate.  ``chi_real`` may inject a dispersion function directly,
     used for self-tests against known derivatives.
@@ -189,10 +209,11 @@ def dispersion_slope(
     Raises ``STEP_TOO_COARSE`` when the two step sizes disagree by more
     than 5% relative, i.e. when h does not resolve the local feature.
     """
+    if _exact_slope_route(h, method, chi_real):
+        _, dchi = _chi_and_derivative(replace(p, delta_p=delta_p), m, "delta_p")
+        return dchi.real, 0.0
     if h is None:
         h = default_step(p)
-    if not h > 0:
-        raise ConfigError("finite-difference step must be > 0", code="RANGE_ERROR")
     if chi_real is None:
         def chi_real(d: float) -> float:
             return chi_at(p, m, d, method).real
@@ -220,20 +241,29 @@ def group_index(
 
     The detuning derivative is converted to a frequency derivative with
     the user-supplied reference rate in rad/s; negative values (negative
-    group velocity) are legitimate output.
+    group velocity) are legitimate output.  On the numeric route chi' and
+    its exact detuning derivative come from one solve, as in
+    :func:`dispersion_slope`; otherwise the slope is its finite
+    difference at step ``h``.
     """
     if not m.gamma_si > 0:
         raise ConfigError(
             "gamma_SI must be supplied (> 0) for the group index",
             code="RANGE_ERROR",
         )
-    if chi_real is None:
-        def chi_real(d: float) -> float:
-            return chi_at(p, m, d, method).real
+    if _exact_slope_route(h, method, chi_real):
+        chi, dchi = _chi_and_derivative(replace(p, delta_p=delta_p), m, "delta_p")
+        chi_prime, slope = chi.real, dchi.real
+    else:
+        if chi_real is None:
+            def chi_real(d: float) -> float:
+                return chi_at(p, m, d, method).real
 
+        slope, _ = dispersion_slope(
+            p, m, delta_p, h=h, method=method, chi_real=chi_real
+        )
+        chi_prime = chi_real(delta_p)
     omega_p = 2 * math.pi * SPEED_OF_LIGHT / m.probe_wavelength
-    slope, _ = dispersion_slope(p, m, delta_p, h=h, method=method, chi_real=chi_real)
-    chi_prime = chi_real(delta_p)
     return 1.0 + 2 * math.pi * chi_prime + 2 * math.pi * omega_p * slope / m.gamma_si
 
 
@@ -326,7 +356,8 @@ def find_absorption_zero(
         return chi_at(p, m, d, Method.NUMERIC).imag
 
     def im_chi_and_slope(d: float) -> tuple[float, float]:
-        return _im_chi_and_derivative(replace(p, delta_p=d), m, "delta_p")
+        chi, dchi = _chi_and_derivative(replace(p, delta_p=d), m, "delta_p")
+        return chi.imag, dchi.imag
 
     f_lo, f_hi = im_chi(lo), im_chi(hi)
     if not _opposite_signs(f_lo, f_hi):
@@ -398,9 +429,10 @@ def find_gain_threshold(
         return chi_at(replace(p, lambda_pump=lam), m, 0.0, Method.NUMERIC).imag
 
     def im_chi_and_slope(lam: float) -> tuple[float, float]:
-        return _im_chi_and_derivative(
+        chi, dchi = _chi_and_derivative(
             replace(p, lambda_pump=lam, delta_p=0.0), m, "lambda_pump"
         )
+        return chi.imag, dchi.imag
 
     f_lo, f_hi = im_chi(lo), im_chi(hi)
     if not _opposite_signs(f_lo, f_hi):

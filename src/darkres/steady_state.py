@@ -11,13 +11,15 @@ Keeping all 16 entries (rather than a 15-real parametrization) means the
 equations are transcribed one-to-one; Hermiticity of the solution is then
 a non-trivial consistency check performed after the solve.  The matrix
 is affine in every parameter, so the exact parameter derivative of the
-steady state costs one more solve with the same matrix.
+steady state costs one more solve with the same matrix: the steady state
+keeps the factorization of its matrix, and the derivative reuses it, so
+that solve is substitutions only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,10 +51,80 @@ def _index(i: int, j: int) -> int:
 
 
 @dataclass(frozen=True)
+class _Factors:
+    """Gaussian elimination with partial pivoting of ``matrix``, kept for
+    reuse: at step k row ``pivots[k]`` was swapped into place and the rows
+    below it took away ``multipliers[k]`` times it; ``upper`` is the
+    eliminated matrix, whose upper triangle the back substitution uses."""
+
+    matrix: np.ndarray
+    upper: np.ndarray
+    pivots: tuple[int, ...]
+    multipliers: tuple[np.ndarray, ...]
+
+    def _substitute(self, rhs: np.ndarray) -> np.ndarray:
+        """Replay the elimination on ``rhs``, then back-substitute: the
+        same arithmetic on arrays of the same layout as eliminating afresh,
+        so the result is bit-identical to it."""
+        u = self.upper
+        b = rhs.copy()
+        for k, (piv, factors) in enumerate(zip(self.pivots, self.multipliers)):
+            if piv != k:
+                b[k], b[piv] = b[piv], b[k]
+            b[k + 1 :] -= factors * b[k]
+        x = np.zeros(len(b), dtype=complex)
+        for k in range(len(b) - 1, -1, -1):
+            x[k] = (b[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of ``matrix @ x = rhs`` with one step of iterative
+        refinement."""
+        x = self._substitute(rhs)
+        x += self._substitute(rhs - self.matrix @ x)
+        return x
+
+
+def _factor(matrix: np.ndarray) -> _Factors:
+    """Eliminate ``matrix`` with partial pivoting.
+
+    Raises ``SINGULAR`` when a pivot falls below ``PIVOT_RTOL`` times the
+    largest initial magnitude in its column; this signals a dark-state
+    trapped or undriven configuration rather than round-off.
+    """
+    a = matrix.copy()
+    col_scale = np.max(np.abs(matrix), axis=0)
+    pivots, multipliers = [], []
+    for k in range(a.shape[0]):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[piv, k]) <= PIVOT_RTOL * col_scale[k]:
+            raise NumericError(
+                f"pivot {abs(a[piv, k]):.3e} below threshold in column {k}",
+                code="SINGULAR",
+            )
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+        factors = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
+        pivots.append(piv)
+        multipliers.append(factors)
+    return _Factors(
+        matrix=matrix, upper=a, pivots=tuple(pivots), multipliers=tuple(multipliers)
+    )
+
+
+@dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 complex steady-state density matrix (one-based state labels)."""
+    """4x4 complex steady-state density matrix (one-based state labels).
+
+    A steady state from :func:`steady_state` also carries the
+    factorization of its system matrix, which
+    :func:`steady_state_derivative` reuses; it takes no part in
+    comparison or repr.
+    """
 
     rho: np.ndarray
+    _factors: _Factors | None = field(default=None, repr=False, compare=False)
 
     def element(self, i: int, j: int) -> complex:
         return complex(self.rho[i - 1, j - 1])
@@ -91,12 +163,17 @@ class LinearProblem:
     """Dense complex system A x = b over the 16 density-matrix unknowns.
 
     Fifteen rows are steady-state equations; the row for rho_44 is the
-    trace constraint (the only inhomogeneous one).
+    trace constraint (the only inhomogeneous one).  The matrix is
+    factorized on the first solve and must not be modified afterwards.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     unknowns: list[tuple[int, int]]
+
+    @cached_property
+    def _factors(self) -> _Factors:
+        return _factor(np.asarray(self.matrix, dtype=complex))
 
 
 def equations_of_motion(
@@ -209,7 +286,8 @@ def assemble(p: SystemParams, d: DampingTable) -> LinearProblem:
 
 def solve_linear(lp: LinearProblem) -> np.ndarray:
     """Solve the dense complex system by Gaussian elimination with partial
-    pivoting, followed by one step of iterative refinement.
+    pivoting, followed by one step of iterative refinement that reuses the
+    elimination.
 
     Raises ``SINGULAR`` when a pivot falls below ``PIVOT_RTOL`` times the
     largest initial magnitude in its column; this signals a dark-state
@@ -220,32 +298,7 @@ def solve_linear(lp: LinearProblem) -> np.ndarray:
     n = a0.shape[0]
     if a0.shape != (n, n) or b0.shape != (n,):
         raise ValueError("system must be square with matching right-hand side")
-    col_scale = np.max(np.abs(a0), axis=0)
-
-    def eliminate(rhs: np.ndarray) -> np.ndarray:
-        a = a0.copy()
-        b = rhs.copy()
-        for k in range(n):
-            piv = k + int(np.argmax(np.abs(a[k:, k])))
-            if abs(a[piv, k]) <= PIVOT_RTOL * col_scale[k]:
-                raise NumericError(
-                    f"pivot {abs(a[piv, k]):.3e} below threshold in column {k}",
-                    code="SINGULAR",
-                )
-            if piv != k:
-                a[[k, piv]] = a[[piv, k]]
-                b[[k, piv]] = b[[piv, k]]
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-            b[k + 1 :] -= factors * b[k]
-        x = np.zeros(n, dtype=complex)
-        for k in range(n - 1, -1, -1):
-            x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-        return x
-
-    x = eliminate(b0)
-    x += eliminate(b0 - a0 @ x)
-    return x
+    return lp._factors.solve(b0)
 
 
 def steady_state(p: SystemParams) -> DensityMatrix:
@@ -264,7 +317,7 @@ def steady_state(p: SystemParams) -> DensityMatrix:
         )
     lp = assemble(p, damping_table(p))
     x = solve_linear(lp)
-    dm = DensityMatrix(rho=x.reshape(4, 4))
+    dm = DensityMatrix(rho=x.reshape(4, 4), _factors=lp._factors)
     dm.validate()
     return dm
 
@@ -290,15 +343,20 @@ def steady_state_derivative(
     with respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
 
     A(theta) x = b with A affine in theta and b fixed, so A dx = -B x with
-    B = dA/dtheta: one more solve with the same matrix.  Raises
+    B = dA/dtheta: one more solve with the same matrix.  When ``dm`` comes
+    from :func:`steady_state`, its factorization of A is reused
+    (substitutions only, no assembly); for a bare ``DensityMatrix`` A is
+    assembled and factorized afresh, with bit-identical results.  Raises
     ``BAD_SOLUTION`` when d(rho) is not Hermitian or not traceless to
     ``HERMITICITY_TOL`` / ``TRACE_TOL`` relative to its largest entry.
     """
     if wrt not in PARAM_FIELDS:
         raise ValueError(f"unknown parameter {wrt!r}")
-    lp = assemble(p, damping_table(p))
+    factors = dm._factors
+    if factors is None:
+        factors = assemble(p, damping_table(p))._factors
     rhs = -(_parameter_basis(wrt) @ dm.rho.reshape(16))
-    drho = solve_linear(replace(lp, rhs=rhs)).reshape(4, 4)
+    drho = factors.solve(rhs).reshape(4, 4)
     scale = np.max(np.abs(drho))
     defect = np.max(np.abs(drho - drho.conj().T))
     if not defect <= HERMITICITY_TOL * scale:

@@ -3,15 +3,13 @@
 A sweep varies exactly one of: probe detuning, incoherent pump rate, or
 drive Rabi frequency.  Every figure-style dataset is a single sweep (or a
 few sweeps composed externally).  Grid points are evaluated independently
-(optionally by a thread pool), failed points are logged with their error
-code instead of aborting, and rows are assembled in grid order so that
-identical specs produce byte-identical data regardless of parallelism.
+and in grid order, failed points are logged with their error code instead
+of aborting, so that identical specs produce byte-identical data.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -51,6 +49,10 @@ class Output(str, Enum):
     POPULATIONS = "POPULATIONS"
 
 
+# Upper bound on grid points, checked before any grid is built: a million
+# points already take minutes of solves and hundreds of MB of rows.
+MAX_POINTS = 1_000_000
+
 _AXIS_COLUMN = {Axis.DELTA_P: "delta_p", Axis.LAMBDA: "lambda", Axis.G42: "g42"}
 
 _OUTPUT_COLUMNS = {
@@ -71,7 +73,10 @@ class SweepSpec:
     probe detuning (or at the grid value on a DELTA_P sweep); DELTA0
     re-runs the absorption-zero finder with an automatic bracket; SLOPE
     and NG are evaluated at the found DELTA0 when that output is also
-    requested, otherwise at the base detuning.  POPULATIONS are the
+    requested, otherwise at the base detuning.  With the NUMERIC method
+    SLOPE is the exact detuning derivative (``slope_err`` is 0) and NG
+    takes chi' and that derivative from one solve; the closed-form
+    methods use step-halving finite differences.  POPULATIONS are the
     numeric steady-state level occupations.
     """
 
@@ -88,6 +93,8 @@ class SweepSpec:
     def validate(self) -> None:
         if self.points < 2:
             raise ConfigError("points must be >= 2", code="RANGE_ERROR")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"points must be <= {MAX_POINTS}", code="RANGE_ERROR")
         if not self.start < self.stop:
             raise ConfigError("start must be < stop", code="RANGE_ERROR")
         if self.spacing is Spacing.LOG and not self.start > 0:
@@ -172,21 +179,16 @@ def _evaluate_point(
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepTable:
-    """Evaluate the sweep, preserving grid order in the output rows.
+    """Evaluate the sweep point by point in grid order.
 
     Per-point numeric failures (for example NO_SIGN_CHANGE from the
     absorption-zero finder below the gain onset) are recorded in the
     failure log and excluded from the rows; spec-level validation errors
-    are fatal.
+    are fatal.  ``jobs`` is accepted and ignored: the solves hold the
+    interpreter lock, so worker threads only made sweeps slower.
     """
     spec.validate()
-    grid = spec.grid()
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda x: _evaluate_point(spec, x), grid))
-    else:
-        results = [_evaluate_point(spec, x) for x in grid]
+    results = [_evaluate_point(spec, x) for x in spec.grid()]
 
     columns = [_AXIS_COLUMN[spec.axis]]
     for out in spec.outputs:

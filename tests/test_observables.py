@@ -112,6 +112,32 @@ class TestDispersionSlope:
         with pytest.raises(ConfigError):
             dispersion_slope(spike_config, mercury_medium, 0.0, h=-1.0)
 
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ("pumped_config", 0.0),
+            ("spike_config", 0.0),
+            ("undriven_coupling", 0.0),
+            ("pumped_config", +1),
+            ("pumped_config", -1),
+        ],
+    )
+    def test_exact_matches_richardson(self, config, where, mercury_medium, request):
+        """The numeric route's exact derivative against the step-halving
+        finite difference of the same chi', injected so that it takes the
+        finite-difference route; +-1 stands for +-delta0."""
+        p = request.getfixturevalue(config)
+        m = mercury_medium
+        if where:
+            bracket = (1e-5, 1e-3) if where > 0 else (-1e-3, -1e-5)
+            where = find_absorption_zero(p, m, bracket)
+        slope, err = dispersion_slope(p, m, where)
+        richardson, _ = dispersion_slope(
+            p, m, where, chi_real=lambda d: chi_at(p, m, d).real
+        )
+        assert err == 0.0
+        assert abs(slope - richardson) <= 1e-6 * abs(richardson)
+
 
 class TestGroupIndex:
     def test_vacuum_stub(self, spike_config, mercury_medium):
@@ -130,6 +156,15 @@ class TestGroupIndex:
     def test_spike_center_superluminal(self, spike_config, mercury_medium):
         m = replace(mercury_medium, gamma_si=1e7)
         assert group_index(spike_config, m, 0.0) < 1.0
+
+    def test_numeric_from_slope_and_chi(self, pumped_config, mercury_medium):
+        m = replace(mercury_medium, gamma_si=1e7)
+        omega_p = 2 * np.pi * 299792458.0 / m.probe_wavelength
+        for d in (0.0, 1e-4, -3e-4):
+            slope, _ = dispersion_slope(pumped_config, m, d)
+            chi_prime = chi_at(pumped_config, m, d).real
+            want = 1.0 + 2 * np.pi * chi_prime + 2 * np.pi * omega_p * slope / m.gamma_si
+            assert group_index(pumped_config, m, d) == want
 
 
 class TestAbsorptionZero:

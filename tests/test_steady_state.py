@@ -71,6 +71,31 @@ def lindblad_superoperator_ss(p):
     return x.reshape(4, 4)
 
 
+def eliminate_twice(a, b):
+    """Reference: eliminate the full system for the solve and again for
+    its refinement step, as solve_linear did before it kept its factors."""
+    n = a.shape[0]
+
+    def eliminate(rhs):
+        u, r = a.copy(), rhs.copy()
+        for k in range(n):
+            piv = k + int(np.argmax(np.abs(u[k:, k])))
+            if piv != k:
+                u[[k, piv]] = u[[piv, k]]
+                r[[k, piv]] = r[[piv, k]]
+            factors = u[k + 1 :, k] / u[k, k]
+            u[k + 1 :, k:] -= factors[:, None] * u[k, k:]
+            r[k + 1 :] -= factors * r[k]
+        x = np.zeros(n, dtype=complex)
+        for k in range(n - 1, -1, -1):
+            x[k] = (r[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+        return x
+
+    x = eliminate(b)
+    x += eliminate(b - a @ x)
+    return x
+
+
 class TestSolveLinear:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -97,6 +122,29 @@ class TestSolveLinear:
         with pytest.raises(NumericError) as exc:
             solve_linear(lp)
         assert exc.value.code == "SINGULAR"
+
+    def test_agrees_with_numpy_on_random_systems(self):
+        """LAPACK as an oracle only: sizes 1..16, eigenvalues clustered
+        around a random point at distance 3 from 0, so every draw is
+        well conditioned."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 17))
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            a = g / np.sqrt(2 * n) + 3 * np.exp(2j * np.pi * rng.uniform()) * np.eye(n)
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x = solve_linear(LinearProblem(matrix=a, rhs=b, unknowns=[]))
+            want = np.linalg.solve(a, b)
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_reused_elimination_bit_identical_to_reference(self):
+        """Refinement from the kept factors does the same arithmetic as
+        eliminating again: equal results, not merely close ones."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p = random_valid_params(rng)
+            lp = assemble(p, damping_table(p))
+            assert np.array_equal(solve_linear(lp), eliminate_twice(lp.matrix, lp.rhs))
 
 
 class TestAssemble:
@@ -273,6 +321,20 @@ class TestDerivative:
                 central = (plus - minus) / (2 * h)
                 scale = max(np.max(np.abs(exact)), 1e-12)
                 assert np.max(np.abs(central - exact)) <= 1e-4 * scale, wrt
+
+    def test_reused_factors_bit_identical(self, pumped_config):
+        """The factorization kept by steady_state gives exactly what a
+        fresh assembly and elimination of a bare DensityMatrix gives."""
+        rng = np.random.default_rng(3)
+        for p in (pumped_config, random_valid_params(rng), random_valid_params(rng)):
+            dm = steady_state(p)
+            bare = DensityMatrix(rho=dm.rho)
+            assert dm._factors is not None and bare._factors is None
+            assert "_factors" not in repr(dm)
+            for wrt in PARAM_FIELDS:
+                reused = steady_state_derivative(p, dm, wrt)
+                fresh = steady_state_derivative(p, bare, wrt)
+                assert np.array_equal(reused, fresh), wrt
 
     def test_hermitian_and_traceless(self, pumped_config):
         d = steady_state_derivative(pumped_config, steady_state(pumped_config), "g42")

@@ -15,7 +15,7 @@ from darkres import (
     run_sweep,
     write_csv,
 )
-from darkres.sweep import read_csv_rows
+from darkres.sweep import MAX_POINTS, read_csv_rows
 
 
 @pytest.fixture
@@ -53,6 +53,12 @@ class TestValidation:
     def test_single_point_rejected(self, spectrum_spec):
         with pytest.raises(ConfigError) as exc:
             replace(spectrum_spec, points=1).validate()
+        assert exc.value.code == "RANGE_ERROR"
+
+    def test_points_capped(self, spectrum_spec):
+        replace(spectrum_spec, points=MAX_POINTS).validate()
+        with pytest.raises(ConfigError) as exc:
+            replace(spectrum_spec, points=MAX_POINTS + 1).validate()
         assert exc.value.code == "RANGE_ERROR"
 
     def test_reversed_range_rejected(self, spectrum_spec):
