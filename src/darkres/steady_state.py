@@ -84,6 +84,27 @@ class _Factors:
         x += self._substitute(rhs - self.matrix @ x)
         return x
 
+    def _substitute_columns(self, rhs: np.ndarray) -> np.ndarray:
+        """:meth:`_substitute` applied to every column of ``rhs`` at once."""
+        u = self.upper
+        b = rhs.copy()
+        for k, (piv, factors) in enumerate(zip(self.pivots, self.multipliers)):
+            if piv != k:
+                b[[k, piv]] = b[[piv, k]]
+            b[k + 1 :] -= factors[:, None] * b[k]
+        x = np.zeros_like(b)
+        for k in range(len(b) - 1, -1, -1):
+            x[k] = (b[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+        return x
+
+    def inverse(self) -> np.ndarray:
+        """``matrix``'s inverse from the kept factors, with the same one
+        step of iterative refinement as :meth:`solve`."""
+        eye = np.eye(len(self.pivots), dtype=complex)
+        x = self._substitute_columns(eye)
+        x += self._substitute_columns(eye - self.matrix @ x)
+        return x
+
 
 def _factor(matrix: np.ndarray) -> _Factors:
     """Eliminate ``matrix`` with partial pivoting.

@@ -33,3 +33,24 @@ def mercury_medium():
     return MediumParams(
         number_density=1e18, probe_wavelength=253.7e-9, gamma23_over_gamma=0.14
     )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name, *owners)`` rebinds ``name`` on every owner to a
+    counting wrapper of the function the first owner binds, and returns
+    the list of positional arguments of its calls."""
+
+    def install(name, *owners):
+        calls = []
+        original = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

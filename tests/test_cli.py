@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from darkres import Method, chi_at, find_gain_threshold
+from darkres import Method, chi_at, find_gain_threshold, run_sweep
 from darkres.cli import main
 from darkres.sweep import read_csv_rows
 
@@ -40,6 +40,15 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_close_to_chi_at(spec, rows):
+    """Each (delta_p, chi_re, chi_im) row within 1e-12 of the largest |chi|
+    of a separate per-point chi_at."""
+    chis = [chi_at(spec.params, spec.medium, d, Method.NUMERIC) for d, _, _ in rows]
+    scale = max(abs(chi) for chi in chis)
+    for (_, re_v, im_v), chi in zip(rows, chis):
+        assert abs(complex(re_v, im_v) - chi) <= 1e-12 * scale
 
 
 class TestExitCodes:
@@ -91,9 +100,8 @@ class TestSpectrum:
         from darkres import parse_config
 
         spec = parse_config(SPIKE_CONFIG)
-        for d, re_v, im_v in rows:
-            chi = chi_at(spec.params, spec.medium, d)
-            assert chi.real == re_v and chi.imag == im_v
+        assert rows == run_sweep(spec).rows
+        assert_close_to_chi_at(spec, rows)
 
     def test_stdout_when_no_out(self, spike_file, capsys):
         code, out, _ = run_cli(
@@ -199,8 +207,9 @@ class TestCompare:
 
 
 def test_cli_values_match_library(pumped_file, capsys):
-    # thin-adapter property: the CLI must reproduce library results bit
-    # for bit
+    # thin-adapter property: the CLI must reproduce the library's sweep
+    # bit for bit; the sweep itself agrees with per-point chi_at to 1e-12
+    # of the largest |chi| (the resolvent route is not bit-equal to it)
     code, out, _ = run_cli(
         ["spectrum", "--config", str(pumped_file), "--set", "points=5"], capsys
     )
@@ -209,6 +218,27 @@ def test_cli_values_match_library(pumped_file, capsys):
 
     spec = parse_config(PUMPED_CONFIG, overrides={"points": "5"})
     _, rows = read_csv_rows(io.StringIO(out))
-    for d, re_v, im_v in rows:
-        chi = chi_at(spec.params, spec.medium, d, Method.NUMERIC)
-        assert (chi.real, chi.imag) == (re_v, im_v)
+    assert rows == run_sweep(spec).rows
+    assert_close_to_chi_at(spec, rows)
+
+
+def test_bench_spectrum_takes_the_resolvent_route(tmp_path, capsys, count_calls):
+    # the 2001-point pumped spectrum costs one base solve plus the chi_at
+    # cross-check, not one solve per point; the cross-check keeps chi_at
+    # on the path
+    from darkres import observables, sweep
+
+    solves = count_calls("steady_state", sweep, observables)
+    chis = count_calls("chi_at", sweep)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        "g41 = 0.04\ng42 = 4\ngp = 1e-4\ngamma13 = 0\nlambda = 4e-5\n"
+        "start = -1e-3\nstop = 1e-3\npoints = 2001\n"
+    )
+    out = tmp_path / "spectrum.csv"
+    code, _, _ = run_cli(["spectrum", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 0
+    _, rows = read_csv_rows(out.read_text().splitlines())
+    assert len(rows) == 2001
+    assert len(solves) <= 3
+    assert len(chis) >= 1

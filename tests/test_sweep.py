@@ -7,14 +7,20 @@ import pytest
 from darkres import (
     Axis,
     ConfigError,
+    MediumParams,
+    Method,
     Output,
     Spacing,
     SweepSpec,
     SweepTable,
+    SystemParams,
+    chi_at,
     parse_config,
     run_sweep,
+    steady_state,
     write_csv,
 )
+from darkres import observables, sweep
 from darkres.sweep import MAX_POINTS, read_csv_rows
 
 
@@ -254,3 +260,172 @@ class TestWriteCsv:
         ]
         spec2 = parse_config("\n".join(config_lines))
         assert spec2.params == spectrum_spec.params
+
+
+def per_point(spec):
+    """Rows and failures of the point-by-point route."""
+    results = [sweep._evaluate_point(spec, x) for x in spec.grid()]
+    rows = [row for _, row, code in results if code is None]
+    failures = [(x, code) for x, _, code in results if code is not None]
+    return rows, failures
+
+
+PUMPED = dict(g41=0.04, g42=4.0, g_p=1e-4, gamma13=0.0, lambda_pump=4e-5)
+SPIKE = dict(g41=0.04, g42=4.0, g_p=1e-4, gamma13=0.0)
+UNDRIVEN = dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.01)
+CHI_POPS = (Output.CHI_RE, Output.CHI_IM, Output.POPULATIONS)
+
+
+def resolvent_spec(fields, axis, start, stop, points=201, spacing=Spacing.LINEAR):
+    return SweepSpec(
+        params=SystemParams(gamma41=1.0, gamma42=0.79, gamma23=0.14, **fields),
+        medium=MediumParams(),
+        axis=axis,
+        start=start,
+        stop=stop,
+        points=points,
+        spacing=spacing,
+        outputs=CHI_POPS,
+    )
+
+
+class TestResolventRoute:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            resolvent_spec(PUMPED, Axis.DELTA_P, -1e-3, 1e-3),
+            resolvent_spec(PUMPED, Axis.DELTA_P, -10.0, 10.0),
+            resolvent_spec(SPIKE, Axis.DELTA_P, -1e-3, 1e-3),
+            resolvent_spec(SPIKE, Axis.DELTA_P, -10.0, 10.0),
+            resolvent_spec(UNDRIVEN, Axis.DELTA_P, -1e-3, 1e-3),
+            resolvent_spec(UNDRIVEN, Axis.DELTA_P, -10.0, 10.0),
+            resolvent_spec(SPIKE, Axis.LAMBDA, 1e-8, 1e-1, spacing=Spacing.LOG),
+            resolvent_spec(PUMPED, Axis.G42, 0.0, 20.0),
+        ],
+        ids=[
+            "pumped-narrow", "pumped-wide", "spike-narrow", "spike-wide",
+            "undriven-narrow", "undriven-wide", "log-lambda", "g42",
+        ],
+    )
+    def test_agrees_with_per_point_solves(self, count_calls, spec):
+        fallbacks = count_calls("_evaluate_point", sweep)
+        table = run_sweep(spec)
+        assert fallbacks == [] and table.failures == []
+        assert [row[0] for row in table.rows] == spec.grid()
+        field = sweep._AXIS_FIELD[spec.axis]
+        states = [steady_state(replace(spec.params, **{field: x})) for x in spec.grid()]
+        chis = [
+            chi_at(replace(spec.params, **{field: x}), spec.medium) for x in spec.grid()
+        ]
+        scale = max(abs(chi) for chi in chis)
+        for row, chi, dm in zip(table.rows, chis, states):
+            assert abs(complex(row[1], row[2]) - chi) <= 1e-12 * scale
+            for i, pop in enumerate(row[3:], start=1):
+                assert abs(pop - dm.population(i)) <= 1e-12
+
+    def test_trapped_point_alone_is_solved_on_its_own(self, count_calls):
+        # g41 = gamma13 = 0 traps at lambda = 0 only; the detuned drive
+        # keeps W well conditioned
+        spec = resolvent_spec(
+            dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0),
+            Axis.LAMBDA, 0.0, 1e-3, points=101,
+        )
+        rows, failures = per_point(spec)
+        fallbacks = count_calls("_evaluate_point", sweep)
+        table = run_sweep(spec)
+        assert [args[1] for args in fallbacks] == [0.0]
+        assert table.failures == failures == [(0.0, "TRAPPED")]
+        assert len(table.rows) == len(rows) == 100
+        for got, want in zip(table.rows, rows):
+            assert got[0] == want[0]
+            assert max(abs(a - b) for a, b in zip(got[1:], want[1:])) <= 1e-12
+
+    def test_defective_eigenbasis_takes_per_point_route(self, count_calls):
+        # at resonance the same trap leaves A0^-1 B without a usable
+        # eigenbasis (cond_1(W) ~ 1e16): every point is solved on its own
+        spec = resolvent_spec(
+            dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0),
+            Axis.LAMBDA, 0.0, 1e-3, points=11,
+        )
+        rows, failures = per_point(spec)
+        fallbacks = count_calls("_evaluate_point", sweep)
+        table = run_sweep(spec)
+        assert len(fallbacks) == 11
+        assert (table.rows, table.failures) == (rows, failures)
+
+    @pytest.mark.parametrize(
+        "gate, value",
+        [
+            ("RESOLVENT_BACKWARD_TOL", -1.0),
+            ("RESOLVENT_COND_MAX", 0.0),
+            ("RESOLVENT_AGREEMENT_RTOL", -1.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            resolvent_spec(PUMPED, Axis.DELTA_P, -1e-3, 1e-3, points=21),
+            resolvent_spec(
+                dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0),
+                Axis.LAMBDA, 0.0, 1e-3, points=11,
+            ),
+        ],
+        ids=["pumped", "trapped"],
+    )
+    def test_failed_gate_reproduces_per_point_route(self, monkeypatch, gate, value, spec):
+        rows, failures = per_point(spec)
+        monkeypatch.setattr(sweep, gate, value)
+        table = run_sweep(spec)
+        assert table.rows == rows
+        assert table.failures == failures
+
+    @pytest.mark.parametrize(
+        "outputs, method",
+        [
+            ((Output.CHI_RE, Output.DELTA0), Method.NUMERIC),
+            ((Output.CHI_IM, Output.SLOPE), Method.NUMERIC),
+            ((Output.POPULATIONS, Output.NG), Method.NUMERIC),
+            ((Output.CHI_RE, Output.CHI_IM), Method.ANALYTIC_FULL),
+        ],
+    )
+    def test_other_sweeps_never_take_the_route(self, monkeypatch, outputs, method):
+        def refuse(spec, grid):
+            raise AssertionError("resolvent route taken")
+
+        monkeypatch.setattr(sweep, "_resolvent_sweep", refuse)
+        spec = SweepSpec(
+            params=SystemParams(gamma41=1.0, gamma42=0.79, gamma23=0.14, **SPIKE),
+            medium=MediumParams(gamma_si=1e7),
+            axis=Axis.LAMBDA,
+            start=1e-4,
+            stop=3e-4,
+            points=3,
+            method=method,
+            outputs=outputs,
+        )
+        assert len(run_sweep(spec).rows) == 3
+
+
+def test_chi_and_populations_share_one_solve(count_calls, spike_config, mercury_medium):
+    # SLOPE keeps the sweep per point; chi comes from the populations'
+    # steady state, so each point costs 2 solves (chi and populations,
+    # then the slope), not 3
+    spec = SweepSpec(
+        params=spike_config,
+        medium=mercury_medium,
+        axis=Axis.DELTA_P,
+        start=-1e-3,
+        stop=1e-3,
+        points=5,
+        outputs=(Output.CHI_RE, Output.POPULATIONS, Output.SLOPE),
+    )
+    rows, _ = per_point(spec)
+    solves = count_calls("steady_state", sweep, observables)
+    table = run_sweep(spec)
+    assert len(solves) == 10
+    assert table.rows == rows
+    for row in table.rows:
+        p = replace(spike_config, delta_p=row[0])
+        assert row[1] == chi_at(p, mercury_medium).real
+        dm = steady_state(p)
+        assert row[2:6] == tuple(dm.population(i) for i in (1, 2, 3, 4))
