@@ -15,7 +15,6 @@ from .analytic import (
     coupling_hamiltonian,
     dressed_states,
     group_index_analytic,
-    lambda_threshold,
     rho23_incoherent,
     rho23_limit,
     rho23_weak_probe,
@@ -32,19 +31,15 @@ from .model import (
     validate_params,
 )
 from .observables import (
-    ChiPoint,
-    FeatureReport,
     Method,
     auto_zero_bracket,
     chi_at,
     chi_prefactor,
-    chi_spectrum,
     dispersion_slope,
     find_absorption_zero,
     find_absorption_zero_auto,
     find_gain_threshold,
     group_index,
-    locate_features,
     probe_coherence,
     susceptibility,
 )
@@ -76,11 +71,10 @@ __all__ = [
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian",
     "rho23_weak_probe", "rho23_limit", "rho23_incoherent",
-    "spike_half_width", "lambda_threshold", "group_index_analytic",
-    "Method", "ChiPoint", "FeatureReport", "susceptibility", "chi_prefactor",
-    "chi_at", "chi_spectrum", "probe_coherence", "dispersion_slope",
-    "group_index", "find_absorption_zero", "find_absorption_zero_auto",
-    "find_gain_threshold", "auto_zero_bracket", "locate_features",
+    "spike_half_width", "group_index_analytic",
+    "Method", "susceptibility", "chi_prefactor", "chi_at", "probe_coherence",
+    "dispersion_slope", "group_index", "find_absorption_zero",
+    "find_absorption_zero_auto", "find_gain_threshold", "auto_zero_bracket",
     "Axis", "Spacing", "Output", "SweepSpec", "SweepTable",
     "parse_config", "run_sweep", "write_csv",
     "SimulationError", "ParameterError", "ConfigError", "NumericError",

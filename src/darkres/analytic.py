@@ -6,7 +6,10 @@ solver: the full weak-probe form everywhere, a narrow-feature limit form
 around zero probe detuning, and an incoherent-pump form describing the
 gain spike.  None of them enforce their validity conditions (see
 :func:`darkres.model.validate_params` for regime flags), so they can also
-be plotted outside their regimes for comparison purposes.
+be plotted outside their regimes for comparison purposes.  Each form is
+rational in the probe detuning; a private companion of each returns the
+coherence together with its exact detuning derivative, from which the
+dispersion slope of that method is taken.
 """
 
 from __future__ import annotations
@@ -35,6 +38,33 @@ class DressedStates:
     amplitudes: tuple[tuple[float, float, float], ...]
 
 
+def _quotient(
+    num: complex, dnum: complex, den: complex, dden: complex, what: str
+) -> tuple[complex, complex]:
+    """num/den and its derivative by the quotient rule, refusing a
+    denominator below the floor."""
+    if abs(den) < _DENOMINATOR_FLOOR:
+        raise NumericError(f"{what} denominator vanished", code="DIVISION_DEGENERATE")
+    value = num / den
+    return value, (dnum - value * dden) / den
+
+
+def _weak_probe(p: SystemParams) -> tuple[complex, complex]:
+    """The weak-probe coherence and its probe-detuning derivative: every
+    factor c_ij is delta_p plus a constant."""
+    d = damping_table(p)
+    c13 = p.delta_p - p.delta41 + p.delta42 + 1j * d.big_gamma(1, 3)
+    c34 = p.delta_p + p.delta42 + 1j * d.big_gamma(3, 4)
+    c23 = p.delta_p + 1j * d.big_gamma(2, 3)
+    return _quotient(
+        -p.g_p * (p.g41**2 - c13 * c34),
+        p.g_p * (c13 + c34),
+        p.g41**2 * c23 + c13 * (p.g42**2 - c23 * c34),
+        p.g41**2 + p.g42**2 - c23 * c34 - c13 * (c23 + c34),
+        "weak-probe response",
+    )
+
+
 def rho23_weak_probe(p: SystemParams) -> complex:
     """Probe-transition coherence to first order in the probe coupling,
     valid without incoherent pumping.
@@ -43,17 +73,21 @@ def rho23_weak_probe(p: SystemParams) -> complex:
     coupling field) and the direct pathway is what carves the narrow
     feature into the Autler-Townes profile.
     """
+    return _weak_probe(p)[0]
+
+
+def _limit(p: SystemParams) -> tuple[complex, complex]:
+    """The limit-form coherence and its probe-detuning derivative."""
     d = damping_table(p)
-    c13 = p.delta_p - p.delta41 + p.delta42 + 1j * d.big_gamma(1, 3)
-    c34 = p.delta_p + p.delta42 + 1j * d.big_gamma(3, 4)
-    c23 = p.delta_p + 1j * d.big_gamma(2, 3)
-    num = -p.g_p * (p.g41**2 - c13 * c34)
-    den = p.g41**2 * c23 + c13 * (p.g42**2 - c23 * c34)
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise NumericError(
-            "weak-probe response denominator vanished", code="DIVISION_DEGENERATE"
-        )
-    return num / den
+    g23 = d.big_gamma(2, 3)
+    g34 = d.big_gamma(3, 4)
+    return _quotient(
+        -p.g_p * (p.g41**2 - 1j * p.delta_p * g34),
+        1j * p.g_p * g34,
+        p.g42**2 * p.delta_p + 1j * (p.g41**2 * g23 - p.delta_p**2 * (g34 + g23)),
+        p.g42**2 - 2j * p.delta_p * (g34 + g23),
+        "limit-form",
+    )
 
 
 def rho23_limit(p: SystemParams) -> complex:
@@ -63,18 +97,7 @@ def rho23_limit(p: SystemParams) -> complex:
     Its imaginary part is strictly positive (a pure absorption spike);
     the spike half width is (g41/g42)^2 * gamma23.
     """
-    d = damping_table(p)
-    g23 = d.big_gamma(2, 3)
-    g34 = d.big_gamma(3, 4)
-    num = -p.g_p * (p.g41**2 - 1j * p.delta_p * g34)
-    den = p.g42**2 * p.delta_p + 1j * (
-        p.g41**2 * g23 - p.delta_p**2 * (g34 + g23)
-    )
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise NumericError(
-            "limit-form denominator vanished", code="DIVISION_DEGENERATE"
-        )
-    return num / den
+    return _limit(p)[0]
 
 
 def _pump_prefactor(p: SystemParams) -> float:
@@ -87,6 +110,20 @@ def _pump_prefactor(p: SystemParams) -> float:
     return p.g41**2 * p.g_p * p.gamma23 / den
 
 
+def _incoherent(p: SystemParams) -> tuple[complex, complex]:
+    """The pump-form coherence and its probe-detuning derivative: the form
+    is pref / (delta_p + i*lambda), so the derivative is
+    -rho / (delta_p + i*lambda)."""
+    lorentz_den = p.delta_p**2 + p.lambda_pump**2
+    if lorentz_den < _DENOMINATOR_FLOOR:
+        raise NumericError(
+            "pump form undefined at zero detuning and zero pump",
+            code="DIVISION_DEGENERATE",
+        )
+    rho = _pump_prefactor(p) * (p.delta_p - 1j * p.lambda_pump) / lorentz_den
+    return rho, -rho / (p.delta_p + 1j * p.lambda_pump)
+
+
 def rho23_incoherent(p: SystemParams) -> complex:
     """Leading-order probe coherence with incoherent pumping applied.
 
@@ -94,31 +131,11 @@ def rho23_incoherent(p: SystemParams) -> complex:
     pump rate; the real part is the matching dispersive profile, odd in
     the probe detuning.
     """
-    lorentz_den = p.delta_p**2 + p.lambda_pump**2
-    if lorentz_den < _DENOMINATOR_FLOOR:
-        raise NumericError(
-            "pump form undefined at zero detuning and zero pump",
-            code="DIVISION_DEGENERATE",
-        )
-    return (
-        _pump_prefactor(p)
-        * (p.delta_p - 1j * p.lambda_pump)
-        / lorentz_den
-    )
+    return _incoherent(p)[0]
 
 
 def spike_half_width(p: SystemParams) -> float:
     """Half width of the narrow absorption feature, (g41/g42)^2 * gamma23."""
-    return (p.g41 / p.g42) ** 2 * p.gamma23
-
-
-def lambda_threshold(p: SystemParams) -> float:
-    """Pump rate above which the absorption spike inverts into gain.
-
-    Uses the self-consistent approximate form (g41/g42)^2 * gamma23; the
-    fully general expression trades accuracy for a dimensional
-    inconsistency and is not used.
-    """
     return (p.g41 / p.g42) ** 2 * p.gamma23
 
 

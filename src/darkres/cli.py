@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="susceptibility computation route",
     )
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted and ignored: grid points are evaluated serially",
-    )
-    common.add_argument(
         "--set",
         dest="overrides",
         action="append",

@@ -5,32 +5,23 @@ the closed forms is converted into the complex susceptibility
 chi = chi' + i*chi''; chi'' > 0 is absorption, chi'' < 0 gain.  On top of
 that sit derivative and root-finding utilities: the dispersion slope and
 the group index, the detunings of vanishing absorption, and the pump
-strength at which the narrow absorption feature turns into gain.  On the
-numeric route every derivative is exact, from the same factorization as
-the steady state it differentiates; central differences with step-halving
-verification remain only for the closed forms and injected dispersion
-functions.
+strength at which the narrow absorption feature turns into gain.  Every
+derivative is exact: on the numeric route from the same factorization as
+the steady state it differentiates, for a closed form from its rational
+dependence on the probe detuning.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
-from .analytic import (
-    rho23_incoherent,
-    rho23_limit,
-    rho23_weak_probe,
-    spike_half_width,
-)
+from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import MediumParams, SystemParams
 from .steady_state import steady_state, steady_state_derivative
-
-log = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -44,7 +35,6 @@ THRESHOLD_REL_TOL = 1e-3
 # Evaluations before a bracketed Newton search gives up; bisection alone
 # shrinks a bracket by 2**-100 in that many.
 NEWTON_MAX_ITER = 100
-SLOPE_AGREEMENT = 0.05
 
 
 class Method(str, Enum):
@@ -56,37 +46,19 @@ class Method(str, Enum):
     ANALYTIC_PUMP = "ANALYTIC_PUMP"
 
 
-@dataclass(frozen=True)
-class ChiPoint:
-    """Complex susceptibility at one probe detuning, tagged with how it
-    was computed."""
-
-    delta_p: float
-    chi: complex
-    method: Method
-
-
-@dataclass(frozen=True)
-class FeatureReport:
-    """Located spectral features: sorted zero-absorption detunings, the
-    dispersion slope at chosen detunings, and the gain-onset pump rate."""
-
-    zero_crossings: list[float]
-    slope_at: dict[float, float]
-    gain_threshold: float | None
+# Closed forms as (rho23, d rho23 / d delta_p) at the detuning in ``p``.
+_CLOSED_FORMS = {
+    Method.ANALYTIC_FULL: _weak_probe,
+    Method.ANALYTIC_LIMIT: _limit,
+    Method.ANALYTIC_PUMP: _incoherent,
+}
 
 
 def probe_coherence(p: SystemParams, method: Method = Method.NUMERIC) -> complex:
     """Probe-transition coherence via the selected computation route."""
     if method is Method.NUMERIC:
         return steady_state(p).element(2, 3)
-    if method is Method.ANALYTIC_FULL:
-        return rho23_weak_probe(p)
-    if method is Method.ANALYTIC_LIMIT:
-        return rho23_limit(p)
-    if method is Method.ANALYTIC_PUMP:
-        return rho23_incoherent(p)
-    raise ValueError(f"unknown method {method!r}")
+    return _CLOSED_FORMS[method](p)[0]
 
 
 def chi_prefactor(m: MediumParams) -> float:
@@ -125,31 +97,6 @@ def chi_at(
     return susceptibility(probe_coherence(p, method), m, p.g_p)
 
 
-def chi_spectrum(
-    p: SystemParams,
-    m: MediumParams,
-    grid: Sequence[float],
-    method: Method = Method.NUMERIC,
-) -> list[ChiPoint]:
-    """Susceptibility over a sorted detuning grid.
-
-    Points where the chosen route fails (degenerate denominator, singular
-    solve) are skipped with a log entry instead of aborting the scan; the
-    returned list preserves grid order.
-    """
-    if len(grid) == 0:
-        raise ConfigError("detuning grid is empty", code="RANGE_ERROR")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("detuning grid must be sorted", code="RANGE_ERROR")
-    points: list[ChiPoint] = []
-    for d in grid:
-        try:
-            points.append(ChiPoint(delta_p=d, chi=chi_at(p, m, d, method), method=method))
-        except NumericError as exc:
-            log.debug("skipping delta_p=%g: %s (%s)", d, exc, exc.code)
-    return points
-
-
 def _chi_and_derivative(
     p: SystemParams, m: MediumParams, wrt: str
 ) -> tuple[complex, complex]:
@@ -164,107 +111,57 @@ def _chi_and_derivative(
     )
 
 
-def _exact_slope_route(
-    h: float | None, method: Method, chi_real: Callable[[float], float] | None
-) -> bool:
-    """True when the detuning derivative is exact: the numeric method
-    with no injected dispersion function.  A supplied step must be > 0
-    on either route, though only finite differences use it."""
-    if h is not None and not h > 0:
-        raise ConfigError("finite-difference step must be > 0", code="RANGE_ERROR")
-    return method is Method.NUMERIC and chi_real is None
-
-
-def default_step(p: SystemParams) -> float:
-    """Finite-difference step resolving the narrowest spectral scale:
-    1e-2 times the smaller of the pump rate and the spike half width,
-    falling back to 1e-3 when neither is positive."""
-    scales = [p.lambda_pump]
-    if p.g42 > 0:
-        scales.append(spike_half_width(p))
-    positive = [s for s in scales if s > 0]
-    return 1e-2 * min(positive) if positive else 1e-3
+def _chi_and_slope(
+    p: SystemParams, m: MediumParams, delta_p: float, method: Method
+) -> tuple[complex, complex]:
+    """Chi at ``delta_p`` and its exact detuning derivative by ``method``:
+    one solve and one reused factorization on the numeric route, the
+    closed form's own derivative otherwise."""
+    p = replace(p, delta_p=delta_p)
+    if method is Method.NUMERIC:
+        return _chi_and_derivative(p, m, "delta_p")
+    rho, drho = _CLOSED_FORMS[method](p)
+    return susceptibility(rho, m, p.g_p), susceptibility(drho, m, p.g_p)
 
 
 def dispersion_slope(
     p: SystemParams,
     m: MediumParams,
     delta_p: float,
-    h: float | None = None,
     method: Method = Method.NUMERIC,
-    chi_real: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
     """Slope of the dispersion chi' with respect to the probe detuning, as
     (slope, error estimate).
 
-    On the numeric route (``method`` NUMERIC, no ``chi_real``) the slope
-    is the exact detuning derivative of the steady state, one solve with
-    one reused factorization, and the error estimate is 0; ``h`` is not
-    used there.  Otherwise: central difference at steps h and h/2
-    (default :func:`default_step`); the step-halving (Richardson)
-    combination supplies the returned value and a truncation-error
-    estimate.  ``chi_real`` may inject a dispersion function directly,
-    used for self-tests against known derivatives.
-
-    Raises ``STEP_TOO_COARSE`` when the two step sizes disagree by more
-    than 5% relative, i.e. when h does not resolve the local feature.
+    The slope is the exact detuning derivative for every method, so the
+    error estimate is always 0.  It raises where ``chi_at`` would: a
+    closed form at its own degenerate point gives ``DIVISION_DEGENERATE``.
     """
-    if _exact_slope_route(h, method, chi_real):
-        _, dchi = _chi_and_derivative(replace(p, delta_p=delta_p), m, "delta_p")
-        return dchi.real, 0.0
-    if h is None:
-        h = default_step(p)
-    if chi_real is None:
-        def chi_real(d: float) -> float:
-            return chi_at(p, m, d, method).real
-
-    d1 = (chi_real(delta_p + h) - chi_real(delta_p - h)) / (2 * h)
-    d2 = (chi_real(delta_p + h / 2) - chi_real(delta_p - h / 2)) / h
-    scale = max(abs(d1), abs(d2))
-    if scale > 0 and abs(d1 - d2) / scale > SLOPE_AGREEMENT:
-        raise NumericError(
-            f"slope estimates at h and h/2 disagree by {abs(d1 - d2) / scale:.1%}",
-            code="STEP_TOO_COARSE",
-        )
-    return (4 * d2 - d1) / 3, abs(d2 - d1) / 3
+    _, dchi = _chi_and_slope(p, m, delta_p, method)
+    return dchi.real, 0.0
 
 
 def group_index(
     p: SystemParams,
     m: MediumParams,
     delta_p: float,
-    h: float | None = None,
     method: Method = Method.NUMERIC,
-    chi_real: Callable[[float], float] | None = None,
 ) -> float:
     """Group index n_g = 1 + 2 pi chi' + 2 pi omega_p dchi'/domega_p.
 
     The detuning derivative is converted to a frequency derivative with
     the user-supplied reference rate in rad/s; negative values (negative
-    group velocity) are legitimate output.  On the numeric route chi' and
-    its exact detuning derivative come from one solve, as in
-    :func:`dispersion_slope`; otherwise the slope is its finite
-    difference at step ``h``.
+    group velocity) are legitimate output.  chi' and its exact detuning
+    derivative come from one evaluation, as in :func:`dispersion_slope`.
     """
     if not m.gamma_si > 0:
         raise ConfigError(
             "gamma_SI must be supplied (> 0) for the group index",
             code="RANGE_ERROR",
         )
-    if _exact_slope_route(h, method, chi_real):
-        chi, dchi = _chi_and_derivative(replace(p, delta_p=delta_p), m, "delta_p")
-        chi_prime, slope = chi.real, dchi.real
-    else:
-        if chi_real is None:
-            def chi_real(d: float) -> float:
-                return chi_at(p, m, d, method).real
-
-        slope, _ = dispersion_slope(
-            p, m, delta_p, h=h, method=method, chi_real=chi_real
-        )
-        chi_prime = chi_real(delta_p)
+    chi, dchi = _chi_and_slope(p, m, delta_p, method)
     omega_p = 2 * math.pi * SPEED_OF_LIGHT / m.probe_wavelength
-    return 1.0 + 2 * math.pi * chi_prime + 2 * math.pi * omega_p * slope / m.gamma_si
+    return 1.0 + 2 * math.pi * chi.real + 2 * math.pi * omega_p * dchi.real / m.gamma_si
 
 
 def _opposite_signs(fa: float, fb: float) -> bool:
@@ -455,35 +352,3 @@ def find_gain_threshold(
     )
     return math.exp(u)
 
-
-def locate_features(
-    p: SystemParams,
-    m: MediumParams,
-    zero_brackets: Sequence[tuple[float, float]] = (),
-    slope_points: Sequence[float] = (),
-    lambda_range: tuple[float, float] | None = None,
-) -> FeatureReport:
-    """Bundle the feature finders into one report.
-
-    Brackets without a sign change are skipped; the crossings found are
-    returned sorted and each satisfies |chi''| <= 1e-8.
-    """
-    crossings: list[float] = []
-    for bracket in zero_brackets:
-        try:
-            crossings.append(find_absorption_zero(p, m, bracket))
-        except NumericError as exc:
-            if exc.code != "NO_SIGN_CHANGE":
-                raise
-            log.debug("bracket %s: %s", bracket, exc)
-    slopes = {d: dispersion_slope(p, m, d)[0] for d in slope_points}
-    threshold = None
-    if lambda_range is not None:
-        try:
-            threshold = find_gain_threshold(p, m, lambda_range)
-        except NumericError as exc:
-            if exc.code != "NO_SIGN_CHANGE":
-                raise
-    return FeatureReport(
-        zero_crossings=sorted(crossings), slope_at=slopes, gain_threshold=threshold
-    )

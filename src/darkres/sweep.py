@@ -114,11 +114,10 @@ class SweepSpec:
     probe detuning (or at the grid value on a DELTA_P sweep); DELTA0
     re-runs the absorption-zero finder with an automatic bracket; SLOPE
     and NG are evaluated at the found DELTA0 when that output is also
-    requested, otherwise at the base detuning.  With the NUMERIC method
-    SLOPE is the exact detuning derivative (``slope_err`` is 0) and NG
-    takes chi' and that derivative from one solve; the closed-form
-    methods use step-halving finite differences.  POPULATIONS are the
-    numeric steady-state level occupations.
+    requested, otherwise at the base detuning.  SLOPE is the exact
+    detuning derivative by the sweep's method (``slope_err`` is always 0)
+    and NG takes chi' and that derivative from one evaluation.
+    POPULATIONS are the numeric steady-state level occupations.
     """
 
     params: SystemParams
@@ -324,7 +323,7 @@ def _resolvent_sweep(
     ]
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepTable:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep in grid order.
 
     A NUMERIC sweep whose outputs are all among CHI_RE, CHI_IM and
@@ -335,9 +334,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepTable:
     other sweep, are evaluated point by point.  Per-point numeric failures
     (for example NO_SIGN_CHANGE from the absorption-zero finder below the
     gain onset) are recorded in the failure log and excluded from the
-    rows; spec-level validation errors are fatal.  ``jobs`` is accepted
-    and ignored: the solves hold the interpreter lock, so worker threads
-    only made sweeps slower.
+    rows; spec-level validation errors are fatal.
     """
     spec.validate()
     grid = spec.grid()

@@ -25,8 +25,8 @@ from darkres import (
     find_absorption_zero,
     find_absorption_zero_auto,
     find_gain_threshold,
-    lambda_threshold,
     residual,
+    spike_half_width,
     steady_state,
 )
 from darkres.observables import SPEED_OF_LIGHT
@@ -186,11 +186,11 @@ def test_criterion_5_zero_crossings():
 
 def test_criterion_6_gain_threshold():
     star4 = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
-    stars, lambda0s = [star4], [lambda_threshold(SPIKE)]
+    stars, lambda0s = [star4], [spike_half_width(SPIKE)]
     for g in (10.0, 15.0):
         p = replace(SPIKE, g42=g)
         stars.append(find_gain_threshold(p, MEDIUM, (1e-8, 1e-2)))
-        lambda0s.append(lambda_threshold(p))
+        lambda0s.append(spike_half_width(p))
     within_factor_2 = 0.5 <= star4 / 2e-5 <= 2.0
     ordered = stars[0] > stars[1] > stars[2]
     consistent = lambda0s[0] > lambda0s[1] > lambda0s[2]

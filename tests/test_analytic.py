@@ -10,7 +10,6 @@ from darkres import (
     coupling_hamiltonian,
     dressed_states,
     group_index_analytic,
-    lambda_threshold,
     rho23_incoherent,
     rho23_limit,
     rho23_weak_probe,
@@ -130,12 +129,6 @@ class TestFeatureScales:
         assert spike_half_width(doubled) == pytest.approx(
             4 * spike_half_width(spike_config)
         )
-
-    def test_threshold_value(self, spike_config):
-        assert lambda_threshold(spike_config) == pytest.approx(1.4e-5, rel=1e-12)
-
-    def test_threshold_zero_without_perturber(self, undriven_coupling):
-        assert lambda_threshold(undriven_coupling) == 0.0
 
 
 class TestAnalyticGroupIndex:

