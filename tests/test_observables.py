@@ -23,6 +23,7 @@ from darkres import (
     spike_half_width,
     susceptibility,
 )
+from darkres import observables
 
 
 class TestSusceptibility:
@@ -181,6 +182,14 @@ class TestDispersionSlope:
 
 
 class TestGroupIndex:
+    def test_vacuum_stub(self, spike_config, mercury_medium, monkeypatch):
+        # chi' and its slope stubbed to the vacuum's zero leave n_g = 1
+        monkeypatch.setattr(
+            observables, "_chi_and_slope", lambda p, m, d, method: (0j, 0j)
+        )
+        m = replace(mercury_medium, gamma_si=1e7)
+        assert group_index(spike_config, m, 0.0) == 1.0
+
     def test_requires_reference_rate(self, spike_config, mercury_medium):
         with pytest.raises(ConfigError) as exc:
             group_index(spike_config, mercury_medium, 0.0)
