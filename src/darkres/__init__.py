@@ -45,7 +45,6 @@ from .observables import (
 )
 from .steady_state import (
     DensityMatrix,
-    LinearProblem,
     assemble,
     residual,
     solve_linear,
@@ -67,7 +66,7 @@ __all__ = [
     "__version__",
     "SystemParams", "MediumParams", "DampingTable", "Regime", "RegimeFlag",
     "validate_params", "damping_table",
-    "DensityMatrix", "LinearProblem", "assemble", "solve_linear",
+    "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian",
     "rho23_weak_probe", "rho23_limit", "rho23_incoherent",

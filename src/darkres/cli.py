@@ -190,17 +190,26 @@ def _cmd_compare(spec: SweepSpec, args: argparse.Namespace) -> int:
     analytic = spec.method
     if analytic is Method.NUMERIC:
         analytic = Method.ANALYTIC_FULL
-    grid_spec = replace(spec, axis=Axis.DELTA_P)
+    numeric_spec = replace(
+        spec, axis=Axis.DELTA_P, method=Method.NUMERIC, outputs=(Output.CHI_RE, Output.CHI_IM)
+    )
+    numeric = run_sweep(numeric_spec)
+    chi_numeric = {d: complex(re, im) for d, re, im in numeric.rows}
+    numeric_failed = dict(numeric.failures)
     rows: list[tuple[float, ...]] = []
     failures: list[tuple[float, str]] = []
     max_rel = 0.0
-    for d in grid_spec.grid():
-        try:
-            chi_n = chi_at(spec.params, spec.medium, d, Method.NUMERIC)
-            chi_a = chi_at(spec.params, spec.medium, d, analytic)
-        except NumericError as exc:
-            failures.append((d, exc.code))
+    for d in numeric_spec.grid():
+        code = numeric_failed.get(d)
+        if code is None:
+            try:
+                chi_a = chi_at(spec.params, spec.medium, d, analytic)
+            except NumericError as exc:
+                code = exc.code
+        if code is not None:
+            failures.append((d, code))
             continue
+        chi_n = chi_numeric[d]
         rel = abs(chi_n - chi_a) / abs(chi_n) if abs(chi_n) > 0 else float("nan")
         if abs(chi_n) > COMPARE_FLOOR:
             max_rel = max(max_rel, rel)

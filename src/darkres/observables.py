@@ -6,9 +6,9 @@ chi = chi' + i*chi''; chi'' > 0 is absorption, chi'' < 0 gain.  On top of
 that sit derivative and root-finding utilities: the dispersion slope and
 the group index, the detunings of vanishing absorption, and the pump
 strength at which the narrow absorption feature turns into gain.  Every
-derivative is exact: on the numeric route from the same factorization as
-the steady state it differentiates, for a closed form from its rational
-dependence on the probe detuning.
+derivative is exact: on the numeric route one more solve with the matrix
+of the steady state it differentiates, for a closed form from its
+rational dependence on the probe detuning.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _chi_and_derivative(
     p: SystemParams, m: MediumParams, wrt: str
 ) -> tuple[complex, complex]:
     """Numeric chi at ``p`` and its exact derivative with respect to the
-    ``SystemParams`` field ``wrt``, from one factorization: chi is linear
-    in rho23."""
+    ``SystemParams`` field ``wrt``: one steady state and one derivative
+    solve with the same matrix, since chi is linear in rho23."""
     dm = steady_state(p)
     drho = steady_state_derivative(p, dm, wrt)
     return (
@@ -115,7 +115,7 @@ def _chi_and_slope(
     p: SystemParams, m: MediumParams, delta_p: float, method: Method
 ) -> tuple[complex, complex]:
     """Chi at ``delta_p`` and its exact detuning derivative by ``method``:
-    one solve and one reused factorization on the numeric route, the
+    the steady state and its derivative solve on the numeric route, the
     closed form's own derivative otherwise."""
     p = replace(p, delta_p=delta_p)
     if method is Method.NUMERIC:

@@ -11,15 +11,13 @@ Keeping all 16 entries (rather than a 15-real parametrization) means the
 equations are transcribed one-to-one; Hermiticity of the solution is then
 a non-trivial consistency check performed after the solve.  The matrix
 is affine in every parameter, so the exact parameter derivative of the
-steady state costs one more solve with the same matrix: the steady state
-keeps the factorization of its matrix, and the derivative reuses it, so
-that solve is substitutions only.
+steady state costs one more solve with the same matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,112 +38,26 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POPULATION_TOL = 1e-8
 
-# Row-major ordering of the 16 unknowns rho_ij.
-UNKNOWNS: list[tuple[int, int]] = [(i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
-
 _COHERENCES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def _index(i: int, j: int) -> int:
+    """Position of rho_ij among the 16 unknowns, in row-major order."""
     return 4 * (i - 1) + (j - 1)
 
 
-@dataclass(frozen=True)
-class _Factors:
-    """Gaussian elimination with partial pivoting of ``matrix``, kept for
-    reuse: at step k row ``pivots[k]`` was swapped into place and the rows
-    below it took away ``multipliers[k]`` times it; ``upper`` is the
-    eliminated matrix, whose upper triangle the back substitution uses."""
-
-    matrix: np.ndarray
-    upper: np.ndarray
-    pivots: tuple[int, ...]
-    multipliers: tuple[np.ndarray, ...]
-
-    def _substitute(self, rhs: np.ndarray) -> np.ndarray:
-        """Replay the elimination on ``rhs``, then back-substitute: the
-        same arithmetic on arrays of the same layout as eliminating afresh,
-        so the result is bit-identical to it."""
-        u = self.upper
-        b = rhs.copy()
-        for k, (piv, factors) in enumerate(zip(self.pivots, self.multipliers)):
-            if piv != k:
-                b[k], b[piv] = b[piv], b[k]
-            b[k + 1 :] -= factors * b[k]
-        x = np.zeros(len(b), dtype=complex)
-        for k in range(len(b) - 1, -1, -1):
-            x[k] = (b[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
-        return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of ``matrix @ x = rhs`` with one step of iterative
-        refinement."""
-        x = self._substitute(rhs)
-        x += self._substitute(rhs - self.matrix @ x)
-        return x
-
-    def _substitute_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """:meth:`_substitute` applied to every column of ``rhs`` at once."""
-        u = self.upper
-        b = rhs.copy()
-        for k, (piv, factors) in enumerate(zip(self.pivots, self.multipliers)):
-            if piv != k:
-                b[[k, piv]] = b[[piv, k]]
-            b[k + 1 :] -= factors[:, None] * b[k]
-        x = np.zeros_like(b)
-        for k in range(len(b) - 1, -1, -1):
-            x[k] = (b[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
-        return x
-
-    def inverse(self) -> np.ndarray:
-        """``matrix``'s inverse from the kept factors, with the same one
-        step of iterative refinement as :meth:`solve`."""
-        eye = np.eye(len(self.pivots), dtype=complex)
-        x = self._substitute_columns(eye)
-        x += self._substitute_columns(eye - self.matrix @ x)
-        return x
-
-
-def _factor(matrix: np.ndarray) -> _Factors:
-    """Eliminate ``matrix`` with partial pivoting.
-
-    Raises ``SINGULAR`` when a pivot falls below ``PIVOT_RTOL`` times the
-    largest initial magnitude in its column; this signals a dark-state
-    trapped or undriven configuration rather than round-off.
-    """
-    a = matrix.copy()
-    col_scale = np.max(np.abs(matrix), axis=0)
-    pivots, multipliers = [], []
-    for k in range(a.shape[0]):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) <= PIVOT_RTOL * col_scale[k]:
-            raise NumericError(
-                f"pivot {abs(a[piv, k]):.3e} below threshold in column {k}",
-                code="SINGULAR",
-            )
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= factors[:, None] * a[k, k:]
-        pivots.append(piv)
-        multipliers.append(factors)
-    return _Factors(
-        matrix=matrix, upper=a, pivots=tuple(pivots), multipliers=tuple(multipliers)
-    )
+# Right-hand side of every steady-state system: the trace row is the only
+# inhomogeneous one.
+RHS = np.zeros(16, dtype=complex)
+RHS[_index(4, 4)] = 1.0
+RHS.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 complex steady-state density matrix (one-based state labels).
-
-    A steady state from :func:`steady_state` also carries the
-    factorization of its system matrix, which
-    :func:`steady_state_derivative` reuses; it takes no part in
-    comparison or repr.
-    """
+    """4x4 complex steady-state density matrix (one-based state labels)."""
 
     rho: np.ndarray
-    _factors: _Factors | None = field(default=None, repr=False, compare=False)
 
     def element(self, i: int, j: int) -> complex:
         return complex(self.rho[i - 1, j - 1])
@@ -179,22 +91,21 @@ class DensityMatrix:
             raise NumericError("population outside [0, 1]", code="BAD_SOLUTION")
 
 
-@dataclass(frozen=True)
-class LinearProblem:
-    """Dense complex system A x = b over the 16 density-matrix unknowns.
-
-    Fifteen rows are steady-state equations; the row for rho_44 is the
-    trace constraint (the only inhomogeneous one).  The matrix is
-    factorized on the first solve and must not be modified afterwards.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    unknowns: list[tuple[int, int]]
-
-    @cached_property
-    def _factors(self) -> _Factors:
-        return _factor(np.asarray(self.matrix, dtype=complex))
+def _valid_states(x: np.ndarray) -> np.ndarray:
+    """:meth:`DensityMatrix.validate` on each row of ``x`` (the 16 entries
+    of one state), as a mask: the same checks at the same tolerances, and
+    NaN-safe."""
+    rho = x.reshape(-1, 4, 4)
+    pops = np.diagonal(rho, axis1=1, axis2=2)
+    hermitian = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
+    return (
+        (hermitian <= HERMITICITY_TOL)
+        & (np.abs(pops.sum(axis=1) - 1.0) <= TRACE_TOL)
+        & (np.max(np.abs(pops.imag), axis=1) <= HERMITICITY_TOL)
+        & np.all(
+            (pops.real >= -POPULATION_TOL) & (pops.real <= 1.0 + POPULATION_TOL), axis=1
+        )
+    )
 
 
 def equations_of_motion(
@@ -276,8 +187,9 @@ def equations_of_motion(
     }
 
 
-def assemble(p: SystemParams, d: DampingTable) -> LinearProblem:
-    """Build the 16x16 steady-state system.
+def assemble(p: SystemParams, d: DampingTable) -> np.ndarray:
+    """Build the 16x16 steady-state matrix, whose right-hand side is
+    :data:`RHS`.
 
     Rows: the three population equations, the six coherence equations and
     their Hermitian conjugates (conjugated coefficients on transposed
@@ -285,7 +197,6 @@ def assemble(p: SystemParams, d: DampingTable) -> LinearProblem:
     """
     eqs = equations_of_motion(p, d)
     a = np.zeros((16, 16), dtype=complex)
-    b = np.zeros(16, dtype=complex)
 
     for (i, j), coeffs in eqs.items():
         row = _index(i, j)
@@ -300,26 +211,59 @@ def assemble(p: SystemParams, d: DampingTable) -> LinearProblem:
     trace_row = _index(4, 4)
     for i in (1, 2, 3, 4):
         a[trace_row, _index(i, i)] = 1.0
-    b[trace_row] = 1.0
-
-    return LinearProblem(matrix=a, rhs=b, unknowns=list(UNKNOWNS))
+    return a
 
 
-def solve_linear(lp: LinearProblem) -> np.ndarray:
-    """Solve the dense complex system by Gaussian elimination with partial
-    pivoting, followed by one step of iterative refinement that reuses the
-    elimination.
+def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the dense complex system ``matrix @ x = rhs`` by Gaussian
+    elimination with partial pivoting, followed by one step of iterative
+    refinement that reuses the elimination.
 
     Raises ``SINGULAR`` when a pivot falls below ``PIVOT_RTOL`` times the
     largest initial magnitude in its column; this signals a dark-state
     trapped or undriven configuration rather than round-off.
     """
-    a0 = np.asarray(lp.matrix, dtype=complex)
-    b0 = np.asarray(lp.rhs, dtype=complex)
+    a0 = np.asarray(matrix, dtype=complex)
+    b0 = np.asarray(rhs, dtype=complex)
     n = a0.shape[0]
     if a0.shape != (n, n) or b0.shape != (n,):
         raise ValueError("system must be square with matching right-hand side")
-    return lp._factors.solve(b0)
+
+    # At step k row pivots[k] is swapped into place and the rows below it
+    # take away multipliers[k] times it; u ends as the eliminated matrix.
+    u = a0.copy()
+    col_scale = np.max(np.abs(a0), axis=0)
+    pivots, multipliers = [], []
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(u[k:, k])))
+        if abs(u[piv, k]) <= PIVOT_RTOL * col_scale[k]:
+            raise NumericError(
+                f"pivot {abs(u[piv, k]):.3e} below threshold in column {k}",
+                code="SINGULAR",
+            )
+        if piv != k:
+            u[[k, piv]] = u[[piv, k]]
+        factors = u[k + 1 :, k] / u[k, k]
+        u[k + 1 :, k:] -= factors[:, None] * u[k, k:]
+        pivots.append(piv)
+        multipliers.append(factors)
+
+    def substitute(b: np.ndarray) -> np.ndarray:
+        """Replay the elimination on ``b``, then back-substitute: the same
+        arithmetic as eliminating afresh, so bit-identical to it."""
+        b = b.copy()
+        for k, (piv, factors) in enumerate(zip(pivots, multipliers)):
+            if piv != k:
+                b[k], b[piv] = b[piv], b[k]
+            b[k + 1 :] -= factors * b[k]
+        x = np.zeros(n, dtype=complex)
+        for k in range(n - 1, -1, -1):
+            x[k] = (b[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+        return x
+
+    x = substitute(b0)
+    x += substitute(b0 - a0 @ x)
+    return x
 
 
 def steady_state(p: SystemParams) -> DensityMatrix:
@@ -336,9 +280,8 @@ def steady_state(p: SystemParams) -> DensityMatrix:
             "population trapping: gamma13, g41 and the pump are all zero",
             code="TRAPPED",
         )
-    lp = assemble(p, damping_table(p))
-    x = solve_linear(lp)
-    dm = DensityMatrix(rho=x.reshape(4, 4), _factors=lp._factors)
+    x = solve_linear(assemble(p, damping_table(p)), RHS)
+    dm = DensityMatrix(rho=x.reshape(4, 4))
     dm.validate()
     return dm
 
@@ -350,9 +293,7 @@ def _parameter_basis(wrt: str) -> np.ndarray:
     (entries 0, +-1, +-2, +-i)."""
     zero = SystemParams()
     unit = replace(zero, **{wrt: 1.0})
-    basis = assemble(unit, damping_table(unit)).matrix - assemble(
-        zero, damping_table(zero)
-    ).matrix
+    basis = assemble(unit, damping_table(unit)) - assemble(zero, damping_table(zero))
     basis.setflags(write=False)
     return basis
 
@@ -364,20 +305,19 @@ def steady_state_derivative(
     with respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
 
     A(theta) x = b with A affine in theta and b fixed, so A dx = -B x with
-    B = dA/dtheta: one more solve with the same matrix.  When ``dm`` comes
-    from :func:`steady_state`, its factorization of A is reused
-    (substitutions only, no assembly); for a bare ``DensityMatrix`` A is
-    assembled and factorized afresh, with bit-identical results.  Raises
-    ``BAD_SOLUTION`` when d(rho) is not Hermitian or not traceless to
-    ``HERMITICITY_TOL`` / ``TRACE_TOL`` relative to its largest entry.
+    B = dA/dtheta: one more solve with the matrix the steady state solve
+    has already accepted.  Raises ``SINGULAR`` when that matrix is
+    singular, and ``BAD_SOLUTION`` when d(rho) is not Hermitian or not
+    traceless to ``HERMITICITY_TOL`` / ``TRACE_TOL`` relative to its
+    largest entry.
     """
     if wrt not in PARAM_FIELDS:
         raise ValueError(f"unknown parameter {wrt!r}")
-    factors = dm._factors
-    if factors is None:
-        factors = assemble(p, damping_table(p))._factors
     rhs = -(_parameter_basis(wrt) @ dm.rho.reshape(16))
-    drho = factors.solve(rhs).reshape(4, 4)
+    try:
+        drho = np.linalg.solve(assemble(p, damping_table(p)), rhs).reshape(4, 4)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"derivative system singular: {exc}", code="SINGULAR") from exc
     scale = np.max(np.abs(drho))
     defect = np.max(np.abs(drho - drho.conj().T))
     if not defect <= HERMITICITY_TOL * scale:
@@ -395,17 +335,9 @@ def steady_state_derivative(
 
 
 def residual(p: SystemParams, dm: DensityMatrix) -> float:
-    """Max norm of the time derivatives (and closure violation) at ``dm``.
+    """Max norm of ``A x - b`` at ``dm``: the time derivatives of every
+    entry and the trace defect.
 
     Zero for a true steady state; used as an a-posteriori solve check.
     """
-    eqs = equations_of_motion(p, damping_table(p))
-    rho = dm.rho
-    worst = 0.0
-    for coeffs in eqs.values():
-        acc = 0.0 + 0.0j
-        for (k, l), c in coeffs.items():
-            acc += c * rho[k - 1, l - 1]
-        worst = max(worst, abs(acc))
-    closure = abs(rho[3, 3] - (1.0 - rho[0, 0] - rho[1, 1] - rho[2, 2]))
-    return max(worst, float(closure))
+    return float(np.max(np.abs(assemble(p, damping_table(p)) @ dm.rho.reshape(16) - RHS)))

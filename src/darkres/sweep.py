@@ -9,7 +9,7 @@ data.
 Grid points are not evaluated independently when the outputs are all read
 off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): the system
 matrix is affine along every sweep axis, A(s) = A0 + (s - s0) B, so one
-factorization at a base point s0 and one eigendecomposition
+steady state and one inverse at a base point s0 and one eigendecomposition
 A0^-1 B = W diag(mu) W^-1 give every point as the resolvent
 x(s) = W diag(1 / (1 + (s - s0) mu)) W^-1 x(s0) (Golub & Van Loan,
 Matrix Computations, 7.7).  Each such point is gated (the steady state's
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, NumericError, SimulationError
-from .model import MediumParams, SystemParams
+from .model import MediumParams, SystemParams, damping_table
 from .observables import (
     Method,
     chi_at,
@@ -41,11 +41,11 @@ from .observables import (
     susceptibility,
 )
 from .steady_state import (
-    HERMITICITY_TOL,
-    POPULATION_TOL,
-    TRACE_TOL,
+    RHS,
     _index,
     _parameter_basis,
+    _valid_states,
+    assemble,
     steady_state,
 )
 
@@ -231,23 +231,6 @@ def _admissible(field: str, axis: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _valid_states(x: np.ndarray) -> np.ndarray:
-    """``DensityMatrix.validate`` on each row of ``x`` (16 entries per
-    state), at the same tolerances and NaN-safe: Hermitian, unit trace,
-    real populations within [0, 1]."""
-    rho = x.reshape(-1, 4, 4)
-    pops = x[:, _POPULATIONS]
-    hermitian = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    return (
-        (hermitian <= HERMITICITY_TOL)
-        & (np.abs(pops.sum(axis=1) - 1.0) <= TRACE_TOL)
-        & (np.max(np.abs(pops.imag), axis=1) <= HERMITICITY_TOL)
-        & np.all(
-            (pops.real >= -POPULATION_TOL) & (pops.real <= 1.0 + POPULATION_TOL), axis=1
-        )
-    )
-
-
 def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
@@ -268,11 +251,12 @@ def _resolvent_sweep(
     far = len(grid) - 1
     if abs(grid[0] - grid[base]) > abs(grid[far] - grid[base]):
         far = 0
+    p0 = _point_params(spec, grid[base])
     try:
-        dm = steady_state(_point_params(spec, grid[base]))
+        dm = steady_state(p0)
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
-        a0, b1 = dm._factors.matrix, _parameter_basis(field)
-        a0_inv = dm._factors.inverse()
+        a0, b1 = assemble(p0, damping_table(p0)), _parameter_basis(field)
+        a0_inv = np.linalg.inv(a0)
         mu, w = np.linalg.eig(a0_inv @ b1)
         w_inv = np.linalg.inv(w)
     except (SimulationError, np.linalg.LinAlgError):
@@ -282,8 +266,6 @@ def _resolvent_sweep(
         return None
 
     coeffs = w_inv @ dm.rho.reshape(16)
-    rhs = np.zeros(16, dtype=complex)
-    rhs[_index(4, 4)] = 1.0
     norm_a0 = np.max(np.sum(np.abs(a0), axis=1))
     norm_b1 = np.max(np.sum(np.abs(b1), axis=1))
     axis = np.array(grid)
@@ -297,9 +279,9 @@ def _resolvent_sweep(
             den = 1.0 + t * mu
             x = (coeffs / den) @ w.T
             # one step of iterative refinement through the same representation
-            r = rhs - (x @ a0.T + t * (x @ b1.T))
+            r = RHS - (x @ a0.T + t * (x @ b1.T))
             x += ((r @ a0_inv.T) @ w_inv.T / den) @ w.T
-            r = rhs - (x @ a0.T + t * (x @ b1.T))
+            r = RHS - (x @ a0.T + t * (x @ b1.T))
             bound = (norm_a0 + np.abs(t[:, 0]) * norm_b1) * np.max(np.abs(x), axis=1) + 1.0
             accepted[block] &= np.max(np.abs(r), axis=1) <= RESOLVENT_BACKWARD_TOL * bound
             accepted[block] &= _valid_states(x)

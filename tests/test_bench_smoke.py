@@ -1,0 +1,27 @@
+"""One traced pass of each bench workload, so that a change to a traced
+layer's signature (``assemble``, ``solve_linear``, ...) cannot silently
+break ``bench/run.py``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["spectrum", "pump_scan", "random_states"])
+def test_one_traced_pass(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"], proc.stderr
+    assert result["failed"] == 0

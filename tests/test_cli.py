@@ -21,6 +21,12 @@ points = 11
 
 PUMPED_CONFIG = SPIKE_CONFIG + "lambda = 4e-5\n"
 
+# The bench's 2001-point pumped spectrum.
+BENCH_PUMPED_CONFIG = (
+    "g41 = 0.04\ng42 = 4\ngp = 1e-4\ngamma13 = 0\nlambda = 4e-5\n"
+    "start = -1e-3\nstop = 1e-3\npoints = 2001\n"
+)
+
 
 @pytest.fixture
 def spike_file(tmp_path):
@@ -205,6 +211,24 @@ class TestCompare:
         _, rows = read_csv_rows(io.StringIO(out))
         assert len(rows) == 2
 
+    def test_numeric_columns_are_the_spectrum(self, tmp_path, capsys, count_calls):
+        # the numeric columns come from one sweep over the grid, not one
+        # solve per point: the same rows as `darkres spectrum`
+        from darkres import observables, sweep
+
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(BENCH_PUMPED_CONFIG)
+        code, spectrum, _ = run_cli(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 0
+        solves = count_calls("steady_state", sweep, observables)
+        code, compare, _ = run_cli(["compare", "--config", str(cfg)], capsys)
+        assert code == 0
+        _, want = read_csv_rows(io.StringIO(spectrum))
+        _, rows = read_csv_rows(io.StringIO(compare))
+        assert len(rows) == 2001
+        assert [row[:3] for row in rows] == want
+        assert len(solves) <= 3
+
 
 def test_cli_values_match_library(pumped_file, capsys):
     # thin-adapter property: the CLI must reproduce the library's sweep
@@ -231,10 +255,7 @@ def test_bench_spectrum_takes_the_resolvent_route(tmp_path, capsys, count_calls)
     solves = count_calls("steady_state", sweep, observables)
     chis = count_calls("chi_at", sweep)
     cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        "g41 = 0.04\ng42 = 4\ngp = 1e-4\ngamma13 = 0\nlambda = 4e-5\n"
-        "start = -1e-3\nstop = 1e-3\npoints = 2001\n"
-    )
+    cfg.write_text(BENCH_PUMPED_CONFIG)
     out = tmp_path / "spectrum.csv"
     code, _, _ = run_cli(["spectrum", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 0

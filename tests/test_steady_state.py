@@ -15,7 +15,13 @@ from darkres import (
     steady_state_derivative,
 )
 from darkres.model import PARAM_FIELDS
-from darkres.steady_state import DensityMatrix, LinearProblem, _index
+from darkres.steady_state import (
+    RHS,
+    DensityMatrix,
+    _index,
+    _valid_states,
+    equations_of_motion,
+)
 
 
 def random_valid_params(rng):
@@ -96,31 +102,42 @@ def eliminate_twice(a, b):
     return x
 
 
+def walk_residual(p, dm):
+    """Reference: the residual as a walk over the equations of motion, the
+    forward equations and the closure of the trace, without the matrix."""
+    rho = dm.rho
+    worst = 0.0
+    for coeffs in equations_of_motion(p, damping_table(p)).values():
+        acc = sum(c * rho[k - 1, l - 1] for (k, l), c in coeffs.items())
+        worst = max(worst, abs(acc))
+    closure = abs(rho[3, 3] - (1.0 - rho[0, 0] - rho[1, 1] - rho[2, 2]))
+    return max(worst, float(closure))
+
+
 class TestSolveLinear:
     def test_identity(self):
         rng = np.random.default_rng(0)
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
-        lp = LinearProblem(matrix=np.eye(5, dtype=complex), rhs=b, unknowns=[])
-        assert np.allclose(solve_linear(lp), b, atol=1e-14)
+        assert np.allclose(solve_linear(np.eye(5, dtype=complex), b), b, atol=1e-14)
 
     def test_two_by_two_against_hand_inverse(self):
         a = np.array([[1 + 1j, 2.0], [0.5j, 1 - 1j]], dtype=complex)
         b = np.array([1.0, 1j])
-        x = solve_linear(LinearProblem(matrix=a, rhs=b, unknowns=[]))
+        x = solve_linear(a, b)
         assert np.allclose(a @ x, b, atol=1e-14)
         assert np.allclose(x, np.linalg.solve(a, b), atol=1e-13)
 
     def test_singular_matrix_detected(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
         with pytest.raises(NumericError) as exc:
-            solve_linear(LinearProblem(matrix=a, rhs=np.ones(2, complex), unknowns=[]))
+            solve_linear(a, np.ones(2, complex))
         assert exc.value.code == "SINGULAR"
 
     def test_empty_dynamics_is_singular(self):
         p = SystemParams()  # everything zero: only the trace row survives
-        lp = assemble(p, damping_table(p))
+        a = assemble(p, damping_table(p))
         with pytest.raises(NumericError) as exc:
-            solve_linear(lp)
+            solve_linear(a, RHS)
         assert exc.value.code == "SINGULAR"
 
     def test_agrees_with_numpy_on_random_systems(self):
@@ -133,7 +150,7 @@ class TestSolveLinear:
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             a = g / np.sqrt(2 * n) + 3 * np.exp(2j * np.pi * rng.uniform()) * np.eye(n)
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = solve_linear(LinearProblem(matrix=a, rhs=b, unknowns=[]))
+            x = solve_linear(a, b)
             want = np.linalg.solve(a, b)
             assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -143,8 +160,8 @@ class TestSolveLinear:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_valid_params(rng)
-            lp = assemble(p, damping_table(p))
-            assert np.array_equal(solve_linear(lp), eliminate_twice(lp.matrix, lp.rhs))
+            a = assemble(p, damping_table(p))
+            assert np.array_equal(solve_linear(a, RHS), eliminate_twice(a, RHS))
 
 
 class TestAssemble:
@@ -154,7 +171,7 @@ class TestAssemble:
             gamma41=1.0, gamma42=0.5, gamma23=0.2, gamma13=0.05, lambda_pump=0.03,
         )
         d = damping_table(p)
-        lp = assemble(p, d)
+        a = assemble(p, d)
         row, col = _index(1, 3), _index(1, 3)
         expected = -(
             d.big_gamma(1, 3)
@@ -163,15 +180,15 @@ class TestAssemble:
             - 1j * p.delta_p
             + p.lambda_pump
         )
-        assert lp.matrix[row, col] == pytest.approx(expected)
+        assert a[row, col] == pytest.approx(expected)
 
     def test_trace_row(self, undriven_coupling):
-        lp = assemble(undriven_coupling, damping_table(undriven_coupling))
+        a = assemble(undriven_coupling, damping_table(undriven_coupling))
         row = _index(4, 4)
         for i in range(1, 5):
-            assert lp.matrix[row, _index(i, i)] == 1.0
-        assert lp.rhs[row] == 1.0
-        assert np.count_nonzero(lp.matrix[row]) == 4
+            assert a[row, _index(i, i)] == 1.0
+        assert RHS[row] == 1.0
+        assert np.count_nonzero(a[row]) == 4
 
     def test_population_rows_balance_upper_state_flow(self):
         # Summing the three population equations must leave exactly the
@@ -182,12 +199,8 @@ class TestAssemble:
             g41=0.3, g42=1.7, g_p=0.2, delta41=0.2, delta42=-0.4, delta_p=0.7,
             gamma41=0.8, gamma42=0.5, gamma23=0.2, gamma13=0.05, lambda_pump=0.03,
         )
-        lp = assemble(p, damping_table(p))
-        s = (
-            lp.matrix[_index(1, 1)]
-            + lp.matrix[_index(2, 2)]
-            + lp.matrix[_index(3, 3)]
-        )
+        a = assemble(p, damping_table(p))
+        s = a[_index(1, 1)] + a[_index(2, 2)] + a[_index(3, 3)]
         expected = np.zeros(16, dtype=complex)
         expected[_index(4, 4)] = 2 * (p.gamma41 + p.gamma42)
         expected[_index(1, 4)] = -1j * p.g41
@@ -197,9 +210,9 @@ class TestAssemble:
         assert np.allclose(s, expected, atol=1e-15)
 
     def test_undriven_coupling_config_well_posed(self, undriven_coupling):
-        lp = assemble(undriven_coupling, damping_table(undriven_coupling))
-        x = solve_linear(lp)
-        assert np.max(np.abs(lp.matrix @ x - lp.rhs)) <= 1e-10
+        a = assemble(undriven_coupling, damping_table(undriven_coupling))
+        x = solve_linear(a, RHS)
+        assert np.max(np.abs(a @ x - RHS)) <= 1e-10
 
 
 class TestSteadyState:
@@ -294,6 +307,38 @@ class TestValidate:
         assert exc.value.code == "BAD_SOLUTION"
 
 
+class TestValidStates:
+    def test_mask_matches_validate(self):
+        """The batched mask is True exactly where validate() passes, on
+        steady states and on copies that break one invariant each."""
+        rng = np.random.default_rng(20)
+        states = []
+        for _ in range(20):
+            rho = steady_state(random_valid_params(rng)).rho
+            nan = rho.copy()
+            nan[1, 2] = np.nan
+            trace = rho.copy()
+            trace[0, 0] += 1e-9
+            negative = rho.copy()
+            negative[3, 3] += negative[0, 0].real + 1e-7
+            negative[0, 0] = -1e-7
+            skew = rho.copy()
+            skew[0, 1] += 1e-9
+            states += [rho, nan, trace, negative, skew]
+
+        def passes(rho):
+            try:
+                DensityMatrix(rho=rho).validate()
+            except NumericError:
+                return False
+            return True
+
+        want = [passes(rho) for rho in states]
+        mask = _valid_states(np.array(states).reshape(-1, 16))
+        assert mask.tolist() == want
+        assert sum(want) == 20
+
+
 class TestDerivative:
     @pytest.mark.parametrize("wrt, h", [("delta_p", 1e-8), ("lambda_pump", 1e-9)])
     def test_matches_central_difference(self, pumped_config, wrt, h):
@@ -322,19 +367,23 @@ class TestDerivative:
                 scale = max(np.max(np.abs(exact)), 1e-12)
                 assert np.max(np.abs(central - exact)) <= 1e-4 * scale, wrt
 
-    def test_reused_factors_bit_identical(self, pumped_config):
-        """The factorization kept by steady_state gives exactly what a
-        fresh assembly and elimination of a bare DensityMatrix gives."""
+    def test_bare_state_matches_solved_state(self, pumped_config):
+        """The derivative depends on the state's entries alone: a bare
+        DensityMatrix with the same rho gives exactly the same result."""
         rng = np.random.default_rng(3)
         for p in (pumped_config, random_valid_params(rng), random_valid_params(rng)):
             dm = steady_state(p)
-            bare = DensityMatrix(rho=dm.rho)
-            assert dm._factors is not None and bare._factors is None
-            assert "_factors" not in repr(dm)
+            bare = DensityMatrix(rho=dm.rho.copy())
             for wrt in PARAM_FIELDS:
-                reused = steady_state_derivative(p, dm, wrt)
-                fresh = steady_state_derivative(p, bare, wrt)
-                assert np.array_equal(reused, fresh), wrt
+                solved = steady_state_derivative(p, dm, wrt)
+                assert np.array_equal(solved, steady_state_derivative(p, bare, wrt)), wrt
+
+    def test_singular_system_rejected(self):
+        p = SystemParams()  # everything zero: only the trace row survives
+        bare = DensityMatrix(rho=np.diag([0, 0, 1, 0]).astype(complex))
+        with pytest.raises(NumericError) as exc:
+            steady_state_derivative(p, bare, "delta_p")
+        assert exc.value.code == "SINGULAR"
 
     def test_hermitian_and_traceless(self, pumped_config):
         d = steady_state_derivative(pumped_config, steady_state(pumped_config), "g42")
@@ -360,6 +409,15 @@ class TestResidual:
     def test_large_for_maximally_mixed(self, undriven_coupling):
         dm = DensityMatrix(rho=np.eye(4, dtype=complex) / 4)
         assert residual(undriven_coupling, dm) > 1e-2
+
+    def test_matches_equation_walk(self):
+        rng = np.random.default_rng(25)
+        cases = [(p, steady_state(p)) for p in (random_valid_params(rng) for _ in range(25))]
+        p = random_valid_params(rng)
+        cases.append((p, DensityMatrix(rho=np.eye(4, dtype=complex) / 4)))
+        for p, dm in cases:
+            assert abs(residual(p, dm) - walk_residual(p, dm)) <= 1e-14
+        assert walk_residual(*cases[-1]) > 1e-2
 
     def test_exactly_zero_for_ground_state_without_couplings(self):
         p = SystemParams()
