@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, NumericError, SimulationError
-from .model import MediumParams, SystemParams, damping_table
+from .model import PARAM_FIELDS, MediumParams, SystemParams
 from .observables import (
     Method,
     chi_at,
@@ -41,9 +41,10 @@ from .observables import (
     susceptibility,
 )
 from .steady_state import (
+    BACKWARD_TOL,
     RHS,
+    _basis,
     _index,
-    _parameter_basis,
     _valid_states,
     assemble,
     steady_state,
@@ -81,11 +82,10 @@ _AXIS_FIELD = {Axis.DELTA_P: "delta_p", Axis.LAMBDA: "lambda_pump", Axis.G42: "g
 _RESOLVENT_OUTPUTS = frozenset({Output.CHI_RE, Output.CHI_IM, Output.POPULATIONS})
 # Gates of the resolvent route: a point is accepted only if its normwise
 # backward error ||A(s)x - b|| / (||A(s)|| ||x|| + ||b||) (infinity norms,
-# ||A(s)|| bounded by ||A0|| + |s - s0| ||B||) is at most BACKWARD_TOL; the
-# whole sweep is solved point by point when cond_1(W) exceeds COND_MAX or
-# the cross-check solve at the far grid end differs by more than
-# AGREEMENT_RTOL of the largest |chi|.
-RESOLVENT_BACKWARD_TOL = 1e-14
+# ||A(s)|| bounded by ||A0|| + |s - s0| ||B||) is at most the BACKWARD_TOL
+# every steady-state solve meets; the whole sweep is solved point by point
+# when cond_1(W) exceeds COND_MAX or the cross-check solve at the far grid
+# end differs by more than AGREEMENT_RTOL of the largest |chi|.
 RESOLVENT_COND_MAX = 1e8
 RESOLVENT_AGREEMENT_RTOL = 1e-12
 # Grid points per vectorised block, so no temporary grows with the grid.
@@ -240,7 +240,7 @@ def _resolvent_sweep(
 
     A point is accepted when its axis value is admissible, its state
     passes the checks of ``DensityMatrix.validate`` and its backward error
-    is at most ``RESOLVENT_BACKWARD_TOL``; any other point is evaluated on
+    is at most ``BACKWARD_TOL``; any other point is evaluated on
     its own.  None is returned, and the caller solves point by point, when
     the base solve or the cross-check solve at the grid end farthest from
     the base raises, when cond_1(W) exceeds ``RESOLVENT_COND_MAX``, or when
@@ -255,7 +255,7 @@ def _resolvent_sweep(
     try:
         dm = steady_state(p0)
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
-        a0, b1 = assemble(p0, damping_table(p0)), _parameter_basis(field)
+        a0, b1 = assemble(p0), _basis()[1][PARAM_FIELDS.index(field)]
         a0_inv = np.linalg.inv(a0)
         mu, w = np.linalg.eig(a0_inv @ b1)
         w_inv = np.linalg.inv(w)
@@ -283,7 +283,7 @@ def _resolvent_sweep(
             x += ((r @ a0_inv.T) @ w_inv.T / den) @ w.T
             r = RHS - (x @ a0.T + t * (x @ b1.T))
             bound = (norm_a0 + np.abs(t[:, 0]) * norm_b1) * np.max(np.abs(x), axis=1) + 1.0
-            accepted[block] &= np.max(np.abs(r), axis=1) <= RESOLVENT_BACKWARD_TOL * bound
+            accepted[block] &= np.max(np.abs(r), axis=1) <= BACKWARD_TOL * bound
             accepted[block] &= _valid_states(x)
             chi[block] = susceptibility(x[:, _RHO23], spec.medium, spec.params.g_p)
             columns = [axis[block]]

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,16 @@ from darkres.model import PARAM_FIELDS
 from darkres.steady_state import (
     RHS,
     DensityMatrix,
+    _basis,
     _index,
+    _transcribe,
     _valid_states,
     equations_of_motion,
 )
+
+# The package binds the name steady_state to the function, so the module
+# is looked up by its full name.
+steady_state_module = importlib.import_module("darkres.steady_state")
 
 
 def random_valid_params(rng):
@@ -107,7 +114,7 @@ def walk_residual(p, dm):
     forward equations and the closure of the trace, without the matrix."""
     rho = dm.rho
     worst = 0.0
-    for coeffs in equations_of_motion(p, damping_table(p)).values():
+    for coeffs in equations_of_motion(p).values():
         acc = sum(c * rho[k - 1, l - 1] for (k, l), c in coeffs.items())
         worst = max(worst, abs(acc))
     closure = abs(rho[3, 3] - (1.0 - rho[0, 0] - rho[1, 1] - rho[2, 2]))
@@ -135,7 +142,7 @@ class TestSolveLinear:
 
     def test_empty_dynamics_is_singular(self):
         p = SystemParams()  # everything zero: only the trace row survives
-        a = assemble(p, damping_table(p))
+        a = assemble(p)
         with pytest.raises(NumericError) as exc:
             solve_linear(a, RHS)
         assert exc.value.code == "SINGULAR"
@@ -160,7 +167,7 @@ class TestSolveLinear:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_valid_params(rng)
-            a = assemble(p, damping_table(p))
+            a = assemble(p)
             assert np.array_equal(solve_linear(a, RHS), eliminate_twice(a, RHS))
 
 
@@ -171,7 +178,7 @@ class TestAssemble:
             gamma41=1.0, gamma42=0.5, gamma23=0.2, gamma13=0.05, lambda_pump=0.03,
         )
         d = damping_table(p)
-        a = assemble(p, d)
+        a = assemble(p)
         row, col = _index(1, 3), _index(1, 3)
         expected = -(
             d.big_gamma(1, 3)
@@ -183,7 +190,7 @@ class TestAssemble:
         assert a[row, col] == pytest.approx(expected)
 
     def test_trace_row(self, undriven_coupling):
-        a = assemble(undriven_coupling, damping_table(undriven_coupling))
+        a = assemble(undriven_coupling)
         row = _index(4, 4)
         for i in range(1, 5):
             assert a[row, _index(i, i)] == 1.0
@@ -199,7 +206,7 @@ class TestAssemble:
             g41=0.3, g42=1.7, g_p=0.2, delta41=0.2, delta42=-0.4, delta_p=0.7,
             gamma41=0.8, gamma42=0.5, gamma23=0.2, gamma13=0.05, lambda_pump=0.03,
         )
-        a = assemble(p, damping_table(p))
+        a = assemble(p)
         s = a[_index(1, 1)] + a[_index(2, 2)] + a[_index(3, 3)]
         expected = np.zeros(16, dtype=complex)
         expected[_index(4, 4)] = 2 * (p.gamma41 + p.gamma42)
@@ -210,9 +217,32 @@ class TestAssemble:
         assert np.allclose(s, expected, atol=1e-15)
 
     def test_undriven_coupling_config_well_posed(self, undriven_coupling):
-        a = assemble(undriven_coupling, damping_table(undriven_coupling))
+        a = assemble(undriven_coupling)
         x = solve_linear(a, RHS)
         assert np.max(np.abs(a @ x - RHS)) <= 1e-10
+
+    def test_matches_transcription(self, pumped_config):
+        """T + theta.B against the walk over the equations of motion: bit
+        for bit at the pumped configuration, and within 4 eps max|theta|
+        per entry on random draws."""
+        assert np.array_equal(assemble(pumped_config), _transcribe(pumped_config))
+        rng = np.random.default_rng(31)
+        eps = np.finfo(float).eps
+        for _ in range(1000):
+            p = random_valid_params(rng)
+            theta = max(abs(getattr(p, name)) for name in PARAM_FIELDS)
+            assert np.max(np.abs(assemble(p) - _transcribe(p))) <= 4 * eps * theta
+
+    def test_equations_walked_only_to_build_basis(self, count_calls, pumped_config):
+        """The equations of motion are walked once per basis matrix (the
+        all-zero and the eleven unit-field sets) and never per solve."""
+        _basis.cache_clear()
+        walks = count_calls("equations_of_motion", steady_state_module)
+        for lam in (4e-5, 1e-4, 1e-3):
+            p = replace(pumped_config, lambda_pump=lam)
+            steady_state_derivative(p, steady_state(p), "delta_p")
+            residual(p, steady_state(p))
+        assert len(walks) == 1 + len(PARAM_FIELDS)
 
 
 class TestSteadyState:
@@ -305,6 +335,58 @@ class TestValidate:
         with pytest.raises(NumericError) as exc:
             DensityMatrix(rho=rho).validate()
         assert exc.value.code == "BAD_SOLUTION"
+
+    @pytest.mark.parametrize(
+        "entry, shift, message",
+        [
+            ((0, 1), 1e-9, "solution not Hermitian (defect 1.000e-09)"),
+            ((0, 0), 1e-9, "trace deviates from 1 (defect 1.000e-09)"),
+            ((2, 2), 0.5, "population outside [0, 1] (defect 5.000e-01)"),
+        ],
+    )
+    def test_message_names_check_and_defect(self, entry, shift, message):
+        rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+        rho[entry] += shift
+        if entry == (2, 2):
+            rho[3, 3] -= shift  # keep the trace, push rho_33 above 1
+        with pytest.raises(NumericError) as exc:
+            DensityMatrix(rho=rho).validate()
+        assert exc.value.code == "BAD_SOLUTION"
+        assert str(exc.value) == message
+
+
+class TestBackwardError:
+    def test_perturbed_steady_state_rejected(self, monkeypatch, pumped_config):
+        """A solution off by 1e-12 relative passes the state checks but
+        not the backward-error gate."""
+        exact = solve_linear
+
+        def perturbed(matrix, rhs):
+            return exact(matrix, rhs) * (1 + 1e-12)
+
+        x = perturbed(assemble(pumped_config), RHS)
+        DensityMatrix(rho=x.reshape(4, 4)).validate()
+        monkeypatch.setattr(steady_state_module, "solve_linear", perturbed)
+        with pytest.raises(NumericError) as exc:
+            steady_state(pumped_config)
+        assert exc.value.code == "BAD_SOLUTION"
+        assert "backward error" in str(exc.value)
+
+    def test_perturbed_derivative_rejected(self, monkeypatch, pumped_config):
+        """A derivative shifted by 1e-12 of its largest entry stays Hermitian
+        and traceless to tolerance but fails the backward-error gate."""
+        dm = steady_state(pumped_config)
+        exact = np.linalg.solve
+
+        def perturbed(a, b):
+            x = exact(a, b)
+            return x + 1e-12 * np.max(np.abs(x))
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericError) as exc:
+            steady_state_derivative(pumped_config, dm, "delta_p")
+        assert exc.value.code == "BAD_SOLUTION"
+        assert "backward error" in str(exc.value)
 
 
 class TestValidStates:

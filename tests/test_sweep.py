@@ -381,7 +381,7 @@ class TestResolventRoute:
     @pytest.mark.parametrize(
         "gate, value",
         [
-            ("RESOLVENT_BACKWARD_TOL", -1.0),
+            pytest.param("BACKWARD_TOL", -1.0, id="RESOLVENT_BACKWARD_TOL--1.0"),
             ("RESOLVENT_COND_MAX", 0.0),
             ("RESOLVENT_AGREEMENT_RTOL", -1.0),
         ],
