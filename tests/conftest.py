@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from darkres import MediumParams, SystemParams
+
+# The one Hypothesis profile: the same examples on every run, no example
+# database, and a bound on the examples that keeps the property tests
+# within about a second.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, max_examples=200, deadline=None
+)
+settings.load_profile("deterministic")
 
 # Mercury-like decay ratios used throughout: gamma41 is the reference rate.
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
