@@ -100,10 +100,7 @@ def _state_defects(x: np.ndarray) -> list[tuple[str, np.ndarray, float]]:
 def _valid_states(x: np.ndarray) -> np.ndarray:
     """:meth:`DensityMatrix.validate` on each row of ``x`` (the 16 entries
     of one state), as a mask: the same checks at the same tolerances."""
-    ok = np.ones(len(x), dtype=bool)
-    for _, defect, tol in _state_defects(x):
-        ok &= defect <= tol
-    return ok
+    return np.all([defect <= tol for _, defect, tol in _state_defects(x)], axis=0)
 
 
 def equations_of_motion(

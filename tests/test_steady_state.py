@@ -337,18 +337,17 @@ class TestValidate:
         assert exc.value.code == "BAD_SOLUTION"
 
     @pytest.mark.parametrize(
-        "entry, shift, message",
+        "shifts, message",
         [
-            ((0, 1), 1e-9, "solution not Hermitian (defect 1.000e-09)"),
-            ((0, 0), 1e-9, "trace deviates from 1 (defect 1.000e-09)"),
-            ((2, 2), 0.5, "population outside [0, 1] (defect 5.000e-01)"),
+            ({(0, 1): 1e-9}, "solution not Hermitian (defect 1.000e-09)"),
+            ({(0, 0): 1e-9}, "trace deviates from 1 (defect 1.000e-09)"),
+            ({(2, 2): 0.5, (3, 3): -0.5}, "population outside [0, 1] (defect 5.000e-01)"),
         ],
     )
-    def test_message_names_check_and_defect(self, entry, shift, message):
+    def test_message_names_check_and_defect(self, shifts, message):
         rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-        rho[entry] += shift
-        if entry == (2, 2):
-            rho[3, 3] -= shift  # keep the trace, push rho_33 above 1
+        for entry, shift in shifts.items():
+            rho[entry] += shift
         with pytest.raises(NumericError) as exc:
             DensityMatrix(rho=rho).validate()
         assert exc.value.code == "BAD_SOLUTION"

@@ -381,6 +381,7 @@ class TestResolventRoute:
     @pytest.mark.parametrize(
         "gate, value",
         [
+            # the resolvent's backward-error gate reads the shared BACKWARD_TOL
             pytest.param("BACKWARD_TOL", -1.0, id="RESOLVENT_BACKWARD_TOL--1.0"),
             ("RESOLVENT_COND_MAX", 0.0),
             ("RESOLVENT_AGREEMENT_RTOL", -1.0),
