@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO
 
 from .analytic import dressed_states
-from .errors import ConfigError, NumericError, ParameterError
+from .errors import ConfigError, NumericError, SimulationError
 from .observables import (
     Method,
     chi_at,
@@ -40,13 +40,6 @@ from .sweep import (
 # Points with |chi_numeric| above this enter the reported max relative
 # difference in `compare`.
 COMPARE_FLOOR = 1e-6
-
-_METHOD_FLAGS = {
-    "numeric": Method.NUMERIC,
-    "analytic-full": Method.ANALYTIC_FULL,
-    "analytic-limit": Method.ANALYTIC_LIMIT,
-    "analytic-pump": Method.ANALYTIC_PUMP,
-}
 
 DEFAULT_THRESHOLD_RANGE = (1e-7, 1e-2)
 
@@ -71,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output CSV path (default: stdout)")
     common.add_argument(
         "--method",
-        choices=sorted(_METHOD_FLAGS),
+        choices=sorted(m.value.lower().replace("_", "-") for m in Method),
         help="susceptibility computation route",
     )
     common.add_argument(
@@ -100,7 +93,7 @@ def _load_spec(args: argparse.Namespace) -> SweepSpec:
     text = args.config.read_text(encoding="utf-8") if args.config else ""
     overrides: dict[str, str] = {}
     if args.method:
-        overrides["method"] = _METHOD_FLAGS[args.method].value
+        overrides["method"] = args.method
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(
@@ -111,22 +104,25 @@ def _load_spec(args: argparse.Namespace) -> SweepSpec:
     return parse_config(text, overrides)
 
 
-def _emit(table: SweepTable, out: Path | None) -> None:
-    if out is None:
-        write_csv(table, sys.stdout)
-    else:
-        write_csv(table, out)
+def _emit(table: SweepTable, args: argparse.Namespace) -> int:
+    write_csv(table, sys.stdout if args.out is None else args.out)
+    return 0
+
+
+def _emit_rows(
+    spec: SweepSpec, args: argparse.Namespace, columns: list[str], rows: list[tuple]
+) -> int:
+    """Write a table that is not a sweep, under the spec's metadata."""
+    return _emit(SweepTable(columns, rows, metadata=spec_metadata(spec), failures=[]), args)
 
 
 def _cmd_spectrum(spec: SweepSpec, args: argparse.Namespace) -> int:
     spec = replace(spec, axis=Axis.DELTA_P, outputs=(Output.CHI_RE, Output.CHI_IM))
-    _emit(run_sweep(spec), args.out)
-    return 0
+    return _cmd_sweep(spec, args)
 
 
 def _cmd_sweep(spec: SweepSpec, args: argparse.Namespace) -> int:
-    _emit(run_sweep(spec), args.out)
-    return 0
+    return _emit(run_sweep(spec), args)
 
 
 def _cmd_zero(spec: SweepSpec, args: argparse.Namespace) -> int:
@@ -144,14 +140,7 @@ def _cmd_zero(spec: SweepSpec, args: argparse.Namespace) -> int:
             "no vanishing-absorption detuning in the scanned brackets",
             code="NO_SIGN_CHANGE",
         )
-    table = SweepTable(
-        columns=["delta0"],
-        rows=[(d,) for d in sorted(crossings)],
-        metadata=spec_metadata(spec),
-        failures=[],
-    )
-    _emit(table, args.out)
-    return 0
+    return _emit_rows(spec, args, ["delta0"], [(d,) for d in sorted(crossings)])
 
 
 def _cmd_threshold(spec: SweepSpec, args: argparse.Namespace) -> int:
@@ -160,30 +149,17 @@ def _cmd_threshold(spec: SweepSpec, args: argparse.Namespace) -> int:
     else:
         lambda_range = DEFAULT_THRESHOLD_RANGE
     star = find_gain_threshold(spec.params, spec.medium, lambda_range)
-    table = SweepTable(
-        columns=["lambda_star"],
-        rows=[(star,)],
-        metadata=spec_metadata(spec),
-        failures=[],
-    )
-    _emit(table, args.out)
-    return 0
+    return _emit_rows(spec, args, ["lambda_star"], [(star,)])
 
 
 def _cmd_dressed(spec: SweepSpec, args: argparse.Namespace) -> int:
     ds = dressed_states(spec.params.g41, spec.params.g42)
     labels = ("0", "+", "-")
-    table = SweepTable(
-        columns=["state", "energy", "amp1", "amp2", "amp4"],
-        rows=[
-            (label, energy, *amps)
-            for label, energy, amps in zip(labels, ds.energies, ds.amplitudes)
-        ],
-        metadata=spec_metadata(spec),
-        failures=[],
-    )
-    _emit(table, args.out)
-    return 0
+    rows = [
+        (label, energy, *amps)
+        for label, energy, amps in zip(labels, ds.energies, ds.amplitudes)
+    ]
+    return _emit_rows(spec, args, ["state", "energy", "amp1", "amp2", "amp4"], rows)
 
 
 def _cmd_compare(spec: SweepSpec, args: argparse.Namespace) -> int:
@@ -214,7 +190,7 @@ def _cmd_compare(spec: SweepSpec, args: argparse.Namespace) -> int:
         if abs(chi_n) > COMPARE_FLOOR:
             max_rel = max(max_rel, rel)
         rows.append((d, chi_n.real, chi_n.imag, chi_a.real, chi_a.imag, rel))
-    metadata = dict(spec_metadata(spec))
+    metadata = spec_metadata(spec)
     metadata["analytic_method"] = analytic.value
     metadata["max_rel_diff"] = f"{max_rel:.6g}"
     table = SweepTable(
@@ -230,8 +206,7 @@ def _cmd_compare(spec: SweepSpec, args: argparse.Namespace) -> int:
         metadata=metadata,
         failures=failures,
     )
-    _emit(table, args.out)
-    return 0
+    return _emit(table, args)
 
 
 _COMMANDS = {
@@ -256,12 +231,9 @@ def main(argv: list[str] | None = None, stderr: IO[str] | None = None) -> int:
     try:
         spec = _load_spec(args)
         return _COMMANDS[args.command](spec, args)
-    except (ConfigError, ParameterError) as exc:
+    except SimulationError as exc:
         print(f"error [{exc.code}]: {exc}", file=stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error [{exc.code}]: {exc}", file=stderr)
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

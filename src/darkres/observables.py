@@ -212,6 +212,37 @@ def _bracketed_newton(
     )
 
 
+def _im_chi_crossing(
+    p: SystemParams, m: MediumParams, field: str, lo: float, hi: float,
+    tol: float, no_sign_change: str, in_log: bool = False,
+) -> float:
+    """Value x in (lo, hi) of the ``SystemParams`` field ``field`` at which
+    the numeric chi'' changes sign: both ends must carry a sign, else
+    ``NO_SIGN_CHANGE`` saying ``no_sign_change``; then safeguarded Newton
+    on the exact derivative along ``field``, to relative tolerance ``tol``
+    in x, or in u = ln(x) when ``in_log``."""
+
+    def im_chi_and_slope(x: float) -> tuple[float, float]:
+        chi, dchi = _chi_and_derivative(replace(p, **{field: x}), m, field)
+        return chi.imag, dchi.imag
+
+    f_lo = chi_at(replace(p, **{field: lo}), m).imag
+    f_hi = chi_at(replace(p, **{field: hi}), m).imag
+    if not _opposite_signs(f_lo, f_hi):
+        raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
+    if not in_log:
+        return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
+
+    def in_u(u: float) -> tuple[float, float]:
+        x = math.exp(u)
+        value, slope = im_chi_and_slope(x)
+        return value, x * slope
+
+    return math.exp(
+        _bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol)
+    )
+
+
 def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
     """Default search interval for a vanishing-absorption detuning:
     (0, 10x the larger of the pump rate and the spike half width]."""
@@ -248,22 +279,11 @@ def find_absorption_zero(
     lo, hi = bracket
     if not hi > lo:
         raise ConfigError("bracket must satisfy lo < hi", code="RANGE_ERROR")
-
-    def im_chi(d: float) -> float:
-        return chi_at(p, m, d, Method.NUMERIC).imag
-
-    def im_chi_and_slope(d: float) -> tuple[float, float]:
-        chi, dchi = _chi_and_derivative(replace(p, delta_p=d), m, "delta_p")
-        return chi.imag, dchi.imag
-
-    f_lo, f_hi = im_chi(lo), im_chi(hi)
-    if not _opposite_signs(f_lo, f_hi):
-        raise NumericError(
-            "absorption does not change sign between the bracket ends",
-            code="NO_SIGN_CHANGE",
-        )
-    root = _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=ZERO_REL_TOL)
-    if not abs(im_chi(root)) <= ZERO_IM_TOL:
+    root = _im_chi_crossing(
+        p, m, "delta_p", lo, hi, ZERO_REL_TOL,
+        "absorption does not change sign between the bracket ends",
+    )
+    if not abs(chi_at(p, m, root).imag) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
         )
@@ -321,34 +341,9 @@ def find_gain_threshold(
         raise ConfigError(
             "pump range must satisfy 0 <= lo < hi", code="RANGE_ERROR"
         )
-
-    def im_chi(lam: float) -> float:
-        return chi_at(replace(p, lambda_pump=lam), m, 0.0, Method.NUMERIC).imag
-
-    def im_chi_and_slope(lam: float) -> tuple[float, float]:
-        chi, dchi = _chi_and_derivative(
-            replace(p, lambda_pump=lam, delta_p=0.0), m, "lambda_pump"
-        )
-        return chi.imag, dchi.imag
-
-    f_lo, f_hi = im_chi(lo), im_chi(hi)
-    if not _opposite_signs(f_lo, f_hi):
-        raise NumericError(
-            "resonant absorption does not change sign over the pump range",
-            code="NO_SIGN_CHANGE",
-        )
-    if lo == 0:
-        return _bracketed_newton(
-            im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=THRESHOLD_REL_TOL
-        )
-
-    def in_log(u: float) -> tuple[float, float]:
-        lam = math.exp(u)
-        value, slope = im_chi_and_slope(lam)
-        return value, lam * slope
-
-    u = _bracketed_newton(
-        in_log, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=THRESHOLD_REL_TOL
+    return _im_chi_crossing(
+        replace(p, delta_p=0.0), m, "lambda_pump", lo, hi, THRESHOLD_REL_TOL,
+        "resonant absorption does not change sign over the pump range",
+        in_log=lo > 0,
     )
-    return math.exp(u)
 

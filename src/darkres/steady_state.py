@@ -71,16 +71,16 @@ class DensityMatrix:
         return complex(np.trace(self.rho))
 
     def validate(self) -> None:
-        """Check Hermiticity, unit trace, real populations and population
-        bounds; NaN fails every check.  Raises ``BAD_SOLUTION`` naming the
-        first failed check and its defect."""
+        """Check Hermiticity (which covers real populations), unit trace and
+        population bounds; NaN fails every check.  Raises ``BAD_SOLUTION``
+        naming the first failed check and its defect."""
         for name, defect, tol in _state_defects(self.rho):
             if not defect[0] <= tol:
                 raise NumericError(f"{name} (defect {defect[0]:.3e})", code="BAD_SOLUTION")
 
 
 def _state_defects(x: np.ndarray) -> list[tuple[str, np.ndarray, float]]:
-    """The four checks of a steady state on each row of ``x`` (the 16
+    """The three checks of a steady state on each row of ``x`` (the 16
     entries of one state), as (failure message, defect per row, tolerance).
     A row passes a check when ``defect <= tol``, which NaN fails; the
     population defect is how far the farthest population lies outside
@@ -92,7 +92,6 @@ def _state_defects(x: np.ndarray) -> list[tuple[str, np.ndarray, float]]:
     return [
         ("solution not Hermitian", skew, HERMITICITY_TOL),
         ("trace deviates from 1", np.abs(pops.sum(axis=1) - 1.0), TRACE_TOL),
-        ("complex population", np.max(np.abs(pops.imag), axis=1), HERMITICITY_TOL),
         ("population outside [0, 1]", outside, POPULATION_TOL),
     ]
 

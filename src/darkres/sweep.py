@@ -30,7 +30,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, NumericError, SimulationError
+from .errors import ConfigError, NumericError, ParameterError, SimulationError
 from .model import PARAM_FIELDS, MediumParams, SystemParams
 from .observables import (
     Method,
@@ -137,6 +137,9 @@ class SweepSpec:
             raise ConfigError(f"points must be <= {MAX_POINTS}", code="RANGE_ERROR")
         if not self.start < self.stop:
             raise ConfigError("start must be < stop", code="RANGE_ERROR")
+        for key in ("start", "stop"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite", code="RANGE_ERROR")
         if self.spacing is Spacing.LOG and not self.start > 0:
             raise ConfigError("LOG spacing requires start > 0", code="RANGE_ERROR")
         if self.axis in (Axis.LAMBDA, Axis.G42) and self.start < 0:
@@ -341,51 +344,59 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 # Configuration format: UTF-8 text, one `key = value` per line, '#' comments.
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = {
-    "g41", "g42", "gp", "d41", "d42", "dp",
-    "gamma41", "gamma42", "gamma23", "gamma13", "lambda",
-    "N_per_cm3", "wavelength_nm", "gamma23_over_gamma", "gamma_SI",
-    "start", "stop",
+# Every config key in file and metadata order, as
+# key: (owner, field, SI value of one config unit, default).  Decay-rate
+# ratios default to the mercury-like configuration; fields and grid default
+# to the undriven-coupling spectrum over +-10 gamma.
+_KEY_TABLE: dict[str, tuple[type, str, float, str]] = {
+    "g41": (SystemParams, "g41", 1.0, "0"),
+    "g42": (SystemParams, "g42", 1.0, "4"),
+    "gp": (SystemParams, "g_p", 1.0, "1e-4"),
+    "d41": (SystemParams, "delta41", 1.0, "0"),
+    "d42": (SystemParams, "delta42", 1.0, "0"),
+    "dp": (SystemParams, "delta_p", 1.0, "0"),
+    "gamma41": (SystemParams, "gamma41", 1.0, "1"),
+    "gamma42": (SystemParams, "gamma42", 1.0, "0.79"),
+    "gamma23": (SystemParams, "gamma23", 1.0, "0.14"),
+    "gamma13": (SystemParams, "gamma13", 1.0, "0.01"),
+    "lambda": (SystemParams, "lambda_pump", 1.0, "0"),
+    "N_per_cm3": (MediumParams, "number_density", 1e6, "1e12"),
+    "wavelength_nm": (MediumParams, "probe_wavelength", 1e-9, "253.7"),
+    "gamma23_over_gamma": (MediumParams, "gamma23_over_gamma", 1.0, "0.14"),
+    "gamma_SI": (MediumParams, "gamma_si", 1.0, "0"),
+    "axis": (SweepSpec, "axis", 1.0, "DELTA_P"),
+    "start": (SweepSpec, "start", 1.0, "-10"),
+    "stop": (SweepSpec, "stop", 1.0, "10"),
+    "points": (SweepSpec, "points", 1.0, "2001"),
+    "spacing": (SweepSpec, "spacing", 1.0, "LINEAR"),
+    "method": (SweepSpec, "method", 1.0, "NUMERIC"),
+    "outputs": (SweepSpec, "outputs", 1.0, "CHI_RE,CHI_IM"),
 }
 
-CONFIG_KEYS = _FLOAT_KEYS | {"points", "axis", "spacing", "method", "outputs"}
-
-# Decay-rate ratios default to the mercury-like configuration; fields and
-# grid default to the undriven-coupling spectrum over +-10 gamma.
-DEFAULTS: dict[str, str] = {
-    "g41": "0", "g42": "4", "gp": "1e-4",
-    "d41": "0", "d42": "0", "dp": "0",
-    "gamma41": "1", "gamma42": "0.79", "gamma23": "0.14", "gamma13": "0.01",
-    "lambda": "0",
-    "N_per_cm3": "1e12", "wavelength_nm": "253.7",
-    "gamma23_over_gamma": "0.14", "gamma_SI": "0",
-    "axis": "DELTA_P", "start": "-10", "stop": "10", "points": "2001",
-    "spacing": "LINEAR", "method": "NUMERIC", "outputs": "CHI_RE,CHI_IM",
-}
+CONFIG_KEYS = set(_KEY_TABLE)
+DEFAULTS: dict[str, str] = {key: entry[3] for key, entry in _KEY_TABLE.items()}
+# Keys that name an enum member, in any case and with '-' for '_'.
+_ENUM_KEYS = {"axis": Axis, "spacing": Spacing, "method": Method}
 
 
 def _parse_value(key: str, raw: str, where: str) -> object:
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}", code="UNKNOWN_KEY")
     norm = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return float(norm)
         if key == "points":
             return int(norm)
-        if key == "axis":
-            return Axis[norm.upper().replace("-", "_")]
-        if key == "spacing":
-            return Spacing[norm.upper()]
-        if key == "method":
-            return Method[norm.upper().replace("-", "_")]
+        if key in _ENUM_KEYS:
+            return _ENUM_KEYS[key][norm.upper().replace("-", "_")]
         if key == "outputs":
             names = [t.strip().upper() for t in norm.split(",") if t.strip()]
             return tuple(Output[n] for n in names)
+        return float(norm)
     except (ValueError, KeyError) as exc:
         raise ConfigError(
             f"{where}: cannot parse value {raw!r} for key {key!r}: {exc}",
             code="PARSE_ERROR",
         ) from exc
-    raise ConfigError(f"{where}: unknown key {key!r}", code="UNKNOWN_KEY")
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpec:
@@ -393,7 +404,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
 
     Unknown keys are rejected; malformed lines report their line number.
     ``overrides`` (e.g. from command-line --set flags) take precedence
-    over file values and are parsed with the same rules.
+    over file values and are parsed with the same rules.  Medium values
+    out of range, NaN or infinite are rejected here with ``RANGE_ERROR``.
     """
     values: dict[str, object] = {
         k: _parse_value(k, v, "default") for k, v in DEFAULTS.items()
@@ -409,47 +421,21 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
                 code="PARSE_ERROR",
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(
-                f"line {lineno}: unknown key {key!r}", code="UNKNOWN_KEY"
-            )
         values[key] = _parse_value(key, raw, f"line {lineno}")
 
     for key, raw in (overrides or {}).items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"override: unknown key {key!r}", code="UNKNOWN_KEY")
         values[key] = _parse_value(key, raw, f"override {key}")
 
-    params = SystemParams(
-        g41=values["g41"], g42=values["g42"], g_p=values["gp"],
-        delta41=values["d41"], delta42=values["d42"], delta_p=values["dp"],
-        gamma41=values["gamma41"], gamma42=values["gamma42"],
-        gamma23=values["gamma23"], gamma13=values["gamma13"],
-        lambda_pump=values["lambda"],
-    )
-    medium = MediumParams(
-        number_density=values["N_per_cm3"] * 1e6,
-        probe_wavelength=values["wavelength_nm"] * 1e-9,
-        gamma23_over_gamma=values["gamma23_over_gamma"],
-        gamma_si=values["gamma_SI"],
-    )
-    if not medium.number_density > 0:
-        raise ConfigError("N_per_cm3 must be > 0", code="RANGE_ERROR")
-    if not medium.probe_wavelength > 0:
-        raise ConfigError("wavelength_nm must be > 0", code="RANGE_ERROR")
-    if not 0 < medium.gamma23_over_gamma <= 1:
-        raise ConfigError("gamma23_over_gamma must be in (0, 1]", code="RANGE_ERROR")
-
+    fields: dict[type, dict[str, object]] = {SystemParams: {}, MediumParams: {}, SweepSpec: {}}
+    for key, (owner, field, unit, _) in _KEY_TABLE.items():
+        fields[owner][field] = values[key] if unit == 1.0 else values[key] * unit
+    medium = MediumParams(**fields[MediumParams])
+    try:
+        medium.check()
+    except ParameterError as exc:
+        raise ConfigError(str(exc), code="RANGE_ERROR") from exc
     spec = SweepSpec(
-        params=params,
-        medium=medium,
-        axis=values["axis"],
-        start=values["start"],
-        stop=values["stop"],
-        points=values["points"],
-        spacing=values["spacing"],
-        method=values["method"],
-        outputs=values["outputs"],
+        params=SystemParams(**fields[SystemParams]), medium=medium, **fields[SweepSpec]
     )
     spec.validate()
     return spec
@@ -458,26 +444,19 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
 def spec_metadata(spec: SweepSpec) -> dict[str, str]:
     """Resolved configuration of a sweep in config-key form, so that any
     CSV is self-describing."""
-    p, m = spec.params, spec.medium
-    return {
-        "g41": repr(p.g41), "g42": repr(p.g42), "gp": repr(p.g_p),
-        "d41": repr(p.delta41), "d42": repr(p.delta42), "dp": repr(p.delta_p),
-        "gamma41": repr(p.gamma41), "gamma42": repr(p.gamma42),
-        "gamma23": repr(p.gamma23), "gamma13": repr(p.gamma13),
-        "lambda": repr(p.lambda_pump),
-        "N_per_cm3": repr(m.number_density / 1e6),
-        "wavelength_nm": repr(m.probe_wavelength / 1e-9),
-        "gamma23_over_gamma": repr(m.gamma23_over_gamma),
-        "gamma_SI": repr(m.gamma_si),
-        "axis": spec.axis.value,
-        "start": repr(spec.start), "stop": repr(spec.stop),
-        "points": repr(spec.points),
-        "spacing": spec.spacing.value,
-        "method": spec.method.value,
-        "outputs": ",".join(o.value for o in spec.outputs),
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
+    owners = {SystemParams: spec.params, MediumParams: spec.medium, SweepSpec: spec}
+    metadata = {}
+    for key, (owner, field, unit, _) in _KEY_TABLE.items():
+        value = getattr(owners[owner], field)
+        if isinstance(value, Enum):
+            metadata[key] = value.value
+        elif isinstance(value, tuple):
+            metadata[key] = ",".join(o.value for o in value)
+        else:
+            metadata[key] = repr(value if unit == 1.0 else value / unit)
+    metadata["version"] = __version__
+    metadata["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return metadata
 
 
 def _format(value) -> str:

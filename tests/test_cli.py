@@ -87,6 +87,22 @@ class TestExitCodes:
         assert code == 2
         assert "NONFINITE_PARAMETER" in err
 
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("sweep", ["axis=LAMBDA", "start=0", "stop=inf", "points=3"]),
+            ("dressed", ["gamma_SI=inf"]),
+        ],
+    )
+    def test_nonfinite_config_value_is_range_error(self, spike_file, capsys, command, settings):
+        args = [command, "--config", str(spike_file)]
+        for setting in settings:
+            args += ["--set", setting]
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert "RANGE_ERROR" in err
+        assert out == ""
+
     def test_numeric_error_without_pump(self, spike_file, capsys):
         code, _, err = run_cli(["zero", "--config", str(spike_file)], capsys)
         assert code == 3

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from darkres import (
     find_absorption_zero_auto,
     find_gain_threshold,
     group_index,
+    parse_config,
     probe_coherence,
     run_sweep,
     spike_half_width,
@@ -45,6 +47,17 @@ class TestSusceptibility:
     def test_requires_positive_probe(self, mercury_medium):
         with pytest.raises(ParameterError):
             susceptibility(1e-4j, mercury_medium, 0.0)
+
+    def test_two_level_cross_section_is_si(self):
+        # a bare, weakly probed two-level transition absorbs with the
+        # resonant cross section sigma0 = 3 lambda^2 / 2 pi, and in SI
+        # units its power absorption coefficient is k Im chi = N sigma0
+        spec = parse_config("g41=0\ng42=0\ngamma13=0.01\ngp=1e-5\ndp=0\n")
+        m = spec.medium
+        sigma0 = 3 * m.probe_wavelength**2 / (2 * math.pi)
+        k = 2 * math.pi / m.probe_wavelength
+        ratio = k * chi_at(spec.params, m).imag / (m.number_density * sigma0)
+        assert abs(ratio - 1) <= 1e-6
 
     def test_chi_at_routes(self, spike_config, mercury_medium):
         for method in Method:

@@ -342,6 +342,8 @@ class TestValidate:
             ({(0, 1): 1e-9}, "solution not Hermitian (defect 1.000e-09)"),
             ({(0, 0): 1e-9}, "trace deviates from 1 (defect 1.000e-09)"),
             ({(2, 2): 0.5, (3, 3): -0.5}, "population outside [0, 1] (defect 5.000e-01)"),
+            # an imaginary population is a Hermiticity defect of twice its size
+            ({(1, 1): 1e-9j}, "solution not Hermitian (defect 2.000e-09)"),
         ],
     )
     def test_message_names_check_and_defect(self, shifts, message):

@@ -81,6 +81,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             replace(spectrum_spec, outputs=(Output.NG,)).validate()
 
+    @pytest.mark.parametrize(
+        "axis, start, stop, spacing",
+        [
+            (Axis.LAMBDA, 0.0, math.inf, Spacing.LINEAR),
+            (Axis.LAMBDA, 1e-6, math.inf, Spacing.LOG),
+            (Axis.DELTA_P, -math.inf, 0.0, Spacing.LINEAR),
+        ],
+    )
+    def test_nonfinite_ends_rejected(self, spectrum_spec, axis, start, stop, spacing):
+        # grid() would give nan and inf axis values: start + 0 * inf is nan
+        spec = replace(
+            spectrum_spec, axis=axis, start=start, stop=stop, points=3, spacing=spacing
+        )
+        with pytest.raises(ConfigError) as exc:
+            spec.validate()
+        assert exc.value.code == "RANGE_ERROR"
+        key = "start" if math.isinf(start) else "stop"
+        assert str(exc.value) == f"{key} must be finite"
+
 
 class TestRunSweep:
     def test_two_point_degenerate_sweep(self, spectrum_spec):
@@ -219,6 +238,18 @@ class TestParseConfig:
             spec = parse_config(f"method={raw}\n")
             assert spec.method.value == "ANALYTIC_FULL"
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "N_per_cm3=0", "N_per_cm3=inf", "wavelength_nm=nan", "wavelength_nm=-1",
+            "gamma23_over_gamma=1.5", "gamma_SI=inf", "gamma_SI=-1",
+        ],
+    )
+    def test_medium_checked_at_parse(self, setting):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(setting + "\n")
+        assert exc.value.code == "RANGE_ERROR"
+
     def test_outputs_list(self):
         spec = parse_config("outputs=CHI_IM, SLOPE\ngamma_SI=1e7\n")
         assert spec.outputs == (Output.CHI_IM, Output.SLOPE)
@@ -274,17 +305,23 @@ class TestWriteCsv:
         assert exc.value.code == "IO_ERROR"
 
     def test_metadata_is_config_compatible(self, spectrum_spec):
-        table = run_sweep(replace(spectrum_spec, points=2))
-        buf = io.StringIO()
-        write_csv(table, buf)
-        config_lines = [
-            line[2:]
-            for line in buf.getvalue().splitlines()
-            if line.startswith("# ") and " = " in line
-            and not line.startswith(("# version", "# timestamp"))
-        ]
-        spec2 = parse_config("\n".join(config_lines))
-        assert spec2.params == spectrum_spec.params
+        # the whole spec comes back, also with non-default axis, spacing,
+        # method, outputs and medium
+        log_lambda = parse_config(
+            "axis=LAMBDA\nstart=1e-6\nstop=1e-3\nspacing=LOG\npoints=2\n"
+            "method=analytic-full\noutputs=CHI_IM,SLOPE,NG\nN_per_cm3=3.3e11\n"
+            "wavelength_nm=589.1\ngamma23_over_gamma=0.3\ngamma_SI=1e7\ng41=0.04\n"
+        )
+        for spec in (replace(spectrum_spec, points=2), log_lambda):
+            buf = io.StringIO()
+            write_csv(run_sweep(spec), buf)
+            config_lines = [
+                line[2:]
+                for line in buf.getvalue().splitlines()
+                if line.startswith("# ") and " = " in line
+                and not line.startswith(("# version", "# timestamp"))
+            ]
+            assert parse_config("\n".join(config_lines)) == spec
 
 
 def per_point(spec):
