@@ -14,10 +14,6 @@ from .analytic import (
     DressedStates,
     coupling_hamiltonian,
     dressed_states,
-    group_index_analytic,
-    rho23_incoherent,
-    rho23_limit,
-    rho23_weak_probe,
     spike_half_width,
 )
 from .errors import ConfigError, NumericError, ParameterError, SimulationError
@@ -68,9 +64,7 @@ __all__ = [
     "validate_params", "damping_table",
     "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
-    "DressedStates", "dressed_states", "coupling_hamiltonian",
-    "rho23_weak_probe", "rho23_limit", "rho23_incoherent",
-    "spike_half_width", "group_index_analytic",
+    "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
     "Method", "susceptibility", "chi_prefactor", "chi_at", "probe_coherence",
     "dispersion_slope", "group_index", "find_absorption_zero",
     "find_absorption_zero_auto", "find_gain_threshold", "auto_zero_bracket",

@@ -7,9 +7,9 @@ around zero probe detuning, and an incoherent-pump form describing the
 gain spike.  None of them enforce their validity conditions (see
 :func:`darkres.model.validate_params` for regime flags), so they can also
 be plotted outside their regimes for comparison purposes.  Each form is
-rational in the probe detuning; a private companion of each returns the
-coherence together with its exact detuning derivative, from which the
-dispersion slope of that method is taken.
+rational in the probe detuning and returns the coherence together with its
+exact detuning derivative; they are reached through the ``Method.ANALYTIC_*``
+routes of :mod:`darkres.observables`, like the numeric solver.
 """
 
 from __future__ import annotations
@@ -50,8 +50,14 @@ def _quotient(
 
 
 def _weak_probe(p: SystemParams) -> tuple[complex, complex]:
-    """The weak-probe coherence and its probe-detuning derivative: every
-    factor c_ij is delta_p plus a constant."""
+    """Probe-transition coherence to first order in the probe coupling,
+    valid without incoherent pumping, and its probe-detuning derivative:
+    every factor c_ij is delta_p plus a constant.
+
+    The numerator interference between the two-photon pathway (via the
+    coupling field) and the direct pathway is what carves the narrow
+    feature into the Autler-Townes profile.
+    """
     d = damping_table(p)
     c13 = p.delta_p - p.delta41 + p.delta42 + 1j * d.big_gamma(1, 3)
     c34 = p.delta_p + p.delta42 + 1j * d.big_gamma(3, 4)
@@ -65,19 +71,14 @@ def _weak_probe(p: SystemParams) -> tuple[complex, complex]:
     )
 
 
-def rho23_weak_probe(p: SystemParams) -> complex:
-    """Probe-transition coherence to first order in the probe coupling,
-    valid without incoherent pumping.
-
-    The numerator interference between the two-photon pathway (via the
-    coupling field) and the direct pathway is what carves the narrow
-    feature into the Autler-Townes profile.
-    """
-    return _weak_probe(p)[0]
-
-
 def _limit(p: SystemParams) -> tuple[complex, complex]:
-    """The limit-form coherence and its probe-detuning derivative."""
+    """Narrow-feature limit of the weak-probe coherence, and its
+    probe-detuning derivative: resonant fields, no 1->3 decay,
+    g41 << g42 and small probe detuning.
+
+    Its imaginary part is strictly positive (a pure absorption spike);
+    the spike half width is (g41/g42)^2 * gamma23.
+    """
     d = damping_table(p)
     g23 = d.big_gamma(2, 3)
     g34 = d.big_gamma(3, 4)
@@ -90,75 +91,35 @@ def _limit(p: SystemParams) -> tuple[complex, complex]:
     )
 
 
-def rho23_limit(p: SystemParams) -> complex:
-    """Narrow-feature limit of the weak-probe coherence: resonant fields,
-    no 1->3 decay, g41 << g42 and small probe detuning.
-
-    Its imaginary part is strictly positive (a pure absorption spike);
-    the spike half width is (g41/g42)^2 * gamma23.
-    """
-    return _limit(p)[0]
-
-
-def _pump_prefactor(p: SystemParams) -> float:
-    d = damping_table(p)
-    den = p.g42**2 * p.gamma23 + 2 * p.lambda_pump * d.big_gamma(2, 4) * p.gamma42
-    if abs(den) < _DENOMINATOR_FLOOR:
-        raise NumericError(
-            "pump-form prefactor denominator vanished", code="DIVISION_DEGENERATE"
-        )
-    return p.g41**2 * p.g_p * p.gamma23 / den
-
-
 def _incoherent(p: SystemParams) -> tuple[complex, complex]:
-    """The pump-form coherence and its probe-detuning derivative: the form
-    is pref / (delta_p + i*lambda), so the derivative is
-    -rho / (delta_p + i*lambda)."""
+    """Leading-order probe coherence with incoherent pumping applied, and
+    its probe-detuning derivative.
+
+    The imaginary part is a gain Lorentzian of half width equal to the
+    pump rate; the real part is the matching dispersive profile, odd in
+    the probe detuning.  The form is pref / (delta_p + i*lambda), so the
+    derivative is -rho / (delta_p + i*lambda).
+    """
     lorentz_den = p.delta_p**2 + p.lambda_pump**2
     if lorentz_den < _DENOMINATOR_FLOOR:
         raise NumericError(
             "pump form undefined at zero detuning and zero pump",
             code="DIVISION_DEGENERATE",
         )
-    rho = _pump_prefactor(p) * (p.delta_p - 1j * p.lambda_pump) / lorentz_den
+    d = damping_table(p)
+    den = p.g42**2 * p.gamma23 + 2 * p.lambda_pump * d.big_gamma(2, 4) * p.gamma42
+    if abs(den) < _DENOMINATOR_FLOOR:
+        raise NumericError(
+            "pump-form prefactor denominator vanished", code="DIVISION_DEGENERATE"
+        )
+    prefactor = p.g41**2 * p.g_p * p.gamma23 / den
+    rho = prefactor * (p.delta_p - 1j * p.lambda_pump) / lorentz_den
     return rho, -rho / (p.delta_p + 1j * p.lambda_pump)
-
-
-def rho23_incoherent(p: SystemParams) -> complex:
-    """Leading-order probe coherence with incoherent pumping applied.
-
-    The imaginary part is a gain Lorentzian of half width equal to the
-    pump rate; the real part is the matching dispersive profile, odd in
-    the probe detuning.
-    """
-    return _incoherent(p)[0]
 
 
 def spike_half_width(p: SystemParams) -> float:
     """Half width of the narrow absorption feature, (g41/g42)^2 * gamma23."""
     return (p.g41 / p.g42) ** 2 * p.gamma23
-
-
-def group_index_analytic(p: SystemParams) -> float:
-    """Sign/shape oracle for the pumped group index minus one.
-
-    Negative inside |delta_p| < lambda (fast light with gain), zero at
-    delta_p = +-lambda, positive outside.  The overall scale carries a
-    leftover frequency dimension, so only sign and shape are meaningful;
-    quantitative group indices come from the numeric route in
-    :mod:`darkres.observables`.
-    """
-    lorentz_den = p.delta_p**2 + p.lambda_pump**2
-    if lorentz_den < _DENOMINATOR_FLOOR:
-        raise NumericError(
-            "group-index form undefined at zero detuning and zero pump",
-            code="DIVISION_DEGENERATE",
-        )
-    return (
-        _pump_prefactor(p)
-        * (p.delta_p**2 - p.lambda_pump**2)
-        / lorentz_den**2
-    )
 
 
 def coupling_hamiltonian(g41: float, g42: float) -> np.ndarray:

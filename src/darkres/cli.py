@@ -20,12 +20,7 @@ from typing import IO
 
 from .analytic import dressed_states
 from .errors import ConfigError, NumericError, SimulationError
-from .observables import (
-    Method,
-    chi_at,
-    find_absorption_zero_auto,
-    find_gain_threshold,
-)
+from .observables import Method, find_absorption_zero_auto, find_gain_threshold
 from .sweep import (
     Axis,
     Output,
@@ -77,14 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("spectrum", "susceptibility vs probe detuning"),
-        ("sweep", "generic one-axis scan from the config"),
-        ("zero", "detunings of vanishing absorption"),
-        ("threshold", "pump rate of the absorption-to-gain transition"),
-        ("dressed", "dressed-state energies and amplitudes"),
-        ("compare", "numeric vs analytic susceptibility, point by point"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -110,10 +98,13 @@ def _emit(table: SweepTable, args: argparse.Namespace) -> int:
 
 
 def _emit_rows(
-    spec: SweepSpec, args: argparse.Namespace, columns: list[str], rows: list[tuple]
+    spec: SweepSpec, args: argparse.Namespace, columns: list[str], rows: list[tuple],
+    failures: list[tuple[float, str]] | None = None, **extra: str,
 ) -> int:
-    """Write a table that is not a sweep, under the spec's metadata."""
-    return _emit(SweepTable(columns, rows, metadata=spec_metadata(spec), failures=[]), args)
+    """Write a table that is not a sweep, under the spec's metadata
+    followed by the ``extra`` entries."""
+    table = SweepTable(columns, rows, spec_metadata(spec) | extra, failures or [])
+    return _emit(table, args)
 
 
 def _cmd_spectrum(spec: SweepSpec, args: argparse.Namespace) -> int:
@@ -166,56 +157,41 @@ def _cmd_compare(spec: SweepSpec, args: argparse.Namespace) -> int:
     analytic = spec.method
     if analytic is Method.NUMERIC:
         analytic = Method.ANALYTIC_FULL
-    numeric_spec = replace(
-        spec, axis=Axis.DELTA_P, method=Method.NUMERIC, outputs=(Output.CHI_RE, Output.CHI_IM)
-    )
-    numeric = run_sweep(numeric_spec)
-    chi_numeric = {d: complex(re, im) for d, re, im in numeric.rows}
-    numeric_failed = dict(numeric.failures)
+    chi_spec = replace(spec, axis=Axis.DELTA_P, outputs=(Output.CHI_RE, Output.CHI_IM))
+    tables = {m: run_sweep(replace(chi_spec, method=m)) for m in (analytic, Method.NUMERIC)}
+    chi = {m: {d: complex(re, im) for d, re, im in t.rows} for m, t in tables.items()}
+    # the numeric sweep comes last, so its failure code wins at a shared point
+    failed = {d: code for t in tables.values() for d, code in t.failures}
     rows: list[tuple[float, ...]] = []
     failures: list[tuple[float, str]] = []
     max_rel = 0.0
-    for d in numeric_spec.grid():
-        code = numeric_failed.get(d)
-        if code is None:
-            try:
-                chi_a = chi_at(spec.params, spec.medium, d, analytic)
-            except NumericError as exc:
-                code = exc.code
-        if code is not None:
-            failures.append((d, code))
+    for d in chi_spec.grid():
+        if d in failed:
+            failures.append((d, failed[d]))
             continue
-        chi_n = chi_numeric[d]
+        chi_n, chi_a = chi[Method.NUMERIC][d], chi[analytic][d]
         rel = abs(chi_n - chi_a) / abs(chi_n) if abs(chi_n) > 0 else float("nan")
         if abs(chi_n) > COMPARE_FLOOR:
             max_rel = max(max_rel, rel)
         rows.append((d, chi_n.real, chi_n.imag, chi_a.real, chi_a.imag, rel))
-    metadata = spec_metadata(spec)
-    metadata["analytic_method"] = analytic.value
-    metadata["max_rel_diff"] = f"{max_rel:.6g}"
-    table = SweepTable(
-        columns=[
-            "delta_p",
-            "chi_re_numeric",
-            "chi_im_numeric",
-            "chi_re_analytic",
-            "chi_im_analytic",
-            "rel_diff",
-        ],
-        rows=rows,
-        metadata=metadata,
-        failures=failures,
+    columns = [
+        "delta_p", "chi_re_numeric", "chi_im_numeric",
+        "chi_re_analytic", "chi_im_analytic", "rel_diff",
+    ]
+    return _emit_rows(
+        spec, args, columns, rows, failures,
+        analytic_method=analytic.value, max_rel_diff=f"{max_rel:.6g}",
     )
-    return _emit(table, args)
 
 
+# Every subcommand once, in help order: name -> (help, handler).
 _COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "zero": _cmd_zero,
-    "threshold": _cmd_threshold,
-    "dressed": _cmd_dressed,
-    "compare": _cmd_compare,
+    "spectrum": ("susceptibility vs probe detuning", _cmd_spectrum),
+    "sweep": ("generic one-axis scan from the config", _cmd_sweep),
+    "zero": ("detunings of vanishing absorption", _cmd_zero),
+    "threshold": ("pump rate of the absorption-to-gain transition", _cmd_threshold),
+    "dressed": ("dressed-state energies and amplitudes", _cmd_dressed),
+    "compare": ("numeric vs analytic susceptibility, point by point", _cmd_compare),
 }
 
 
@@ -230,7 +206,7 @@ def main(argv: list[str] | None = None, stderr: IO[str] | None = None) -> int:
         return 1
     try:
         spec = _load_spec(args)
-        return _COMMANDS[args.command](spec, args)
+        return _COMMANDS[args.command][1](spec, args)
     except SimulationError as exc:
         print(f"error [{exc.code}]: {exc}", file=stderr)
         return 3 if isinstance(exc, NumericError) else 2

@@ -35,6 +35,8 @@ THRESHOLD_REL_TOL = 1e-3
 # Evaluations before a bracketed Newton search gives up; bisection alone
 # shrinks a bracket by 2**-100 in that many.
 NEWTON_MAX_ITER = 100
+# Tenfold widenings of find_absorption_zero_auto's bracket before it gives up.
+ZERO_BRACKET_EXPANSIONS = 3
 
 
 class Method(str, Enum):
@@ -294,7 +296,6 @@ def find_absorption_zero_auto(
     p: SystemParams,
     m: MediumParams,
     side: int = +1,
-    max_expansions: int = 3,
 ) -> float:
     """Locate a vanishing-absorption detuning without a user bracket.
 
@@ -308,7 +309,7 @@ def find_absorption_zero_auto(
     detuning half-axis.
     """
     lo, hi = auto_zero_bracket(p)
-    for _ in range(max_expansions + 1):
+    for _ in range(ZERO_BRACKET_EXPANSIONS + 1):
         bracket = (lo, hi) if side >= 0 else (-hi, -lo)
         try:
             return find_absorption_zero(p, m, bracket)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable
@@ -140,6 +141,10 @@ class SweepSpec:
         for key in ("start", "stop"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite", code="RANGE_ERROR")
+        # grid() forms k * (stop - start) for k up to points - 1
+        span = (self.points - 1) * (self.stop - self.start)
+        if self.spacing is Spacing.LINEAR and not math.isfinite(span):
+            raise ConfigError("stop - start overflows the LINEAR grid", code="RANGE_ERROR")
         if self.spacing is Spacing.LOG and not self.start > 0:
             raise ConfigError("LOG spacing requires start > 0", code="RANGE_ERROR")
         if self.axis in (Axis.LAMBDA, Axis.G42) and self.start < 0:
@@ -345,42 +350,47 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 # ---------------------------------------------------------------------------
 
 # Every config key in file and metadata order, as
-# key: (owner, field, SI value of one config unit, default).  Decay-rate
-# ratios default to the mercury-like configuration; fields and grid default
-# to the undriven-coupling spectrum over +-10 gamma.
-_KEY_TABLE: dict[str, tuple[type, str, float, str]] = {
-    "g41": (SystemParams, "g41", 1.0, "0"),
-    "g42": (SystemParams, "g42", 1.0, "4"),
-    "gp": (SystemParams, "g_p", 1.0, "1e-4"),
-    "d41": (SystemParams, "delta41", 1.0, "0"),
-    "d42": (SystemParams, "delta42", 1.0, "0"),
-    "dp": (SystemParams, "delta_p", 1.0, "0"),
-    "gamma41": (SystemParams, "gamma41", 1.0, "1"),
-    "gamma42": (SystemParams, "gamma42", 1.0, "0.79"),
-    "gamma23": (SystemParams, "gamma23", 1.0, "0.14"),
-    "gamma13": (SystemParams, "gamma13", 1.0, "0.01"),
-    "lambda": (SystemParams, "lambda_pump", 1.0, "0"),
-    "N_per_cm3": (MediumParams, "number_density", 1e6, "1e12"),
-    "wavelength_nm": (MediumParams, "probe_wavelength", 1e-9, "253.7"),
-    "gamma23_over_gamma": (MediumParams, "gamma23_over_gamma", 1.0, "0.14"),
-    "gamma_SI": (MediumParams, "gamma_si", 1.0, "0"),
-    "axis": (SweepSpec, "axis", 1.0, "DELTA_P"),
-    "start": (SweepSpec, "start", 1.0, "-10"),
-    "stop": (SweepSpec, "stop", 1.0, "10"),
-    "points": (SweepSpec, "points", 1.0, "2001"),
-    "spacing": (SweepSpec, "spacing", 1.0, "LINEAR"),
-    "method": (SweepSpec, "method", 1.0, "NUMERIC"),
-    "outputs": (SweepSpec, "outputs", 1.0, "CHI_RE,CHI_IM"),
+# key: (owner, field, k, default), where one config unit is 10**k SI units.
+# Decay-rate ratios default to the mercury-like configuration; fields and
+# grid default to the undriven-coupling spectrum over +-10 gamma.
+_KEY_TABLE: dict[str, tuple[type, str, int, str]] = {
+    "g41": (SystemParams, "g41", 0, "0"),
+    "g42": (SystemParams, "g42", 0, "4"),
+    "gp": (SystemParams, "g_p", 0, "1e-4"),
+    "d41": (SystemParams, "delta41", 0, "0"),
+    "d42": (SystemParams, "delta42", 0, "0"),
+    "dp": (SystemParams, "delta_p", 0, "0"),
+    "gamma41": (SystemParams, "gamma41", 0, "1"),
+    "gamma42": (SystemParams, "gamma42", 0, "0.79"),
+    "gamma23": (SystemParams, "gamma23", 0, "0.14"),
+    "gamma13": (SystemParams, "gamma13", 0, "0.01"),
+    "lambda": (SystemParams, "lambda_pump", 0, "0"),
+    "N_per_cm3": (MediumParams, "number_density", 6, "1e12"),
+    "wavelength_nm": (MediumParams, "probe_wavelength", -9, "253.7"),
+    "gamma23_over_gamma": (MediumParams, "gamma23_over_gamma", 0, "0.14"),
+    "gamma_SI": (MediumParams, "gamma_si", 0, "0"),
+    "axis": (SweepSpec, "axis", 0, "DELTA_P"),
+    "start": (SweepSpec, "start", 0, "-10"),
+    "stop": (SweepSpec, "stop", 0, "10"),
+    "points": (SweepSpec, "points", 0, "2001"),
+    "spacing": (SweepSpec, "spacing", 0, "LINEAR"),
+    "method": (SweepSpec, "method", 0, "NUMERIC"),
+    "outputs": (SweepSpec, "outputs", 0, "CHI_RE,CHI_IM"),
 }
 
-CONFIG_KEYS = set(_KEY_TABLE)
-DEFAULTS: dict[str, str] = {key: entry[3] for key, entry in _KEY_TABLE.items()}
 # Keys that name an enum member, in any case and with '-' for '_'.
 _ENUM_KEYS = {"axis": Axis, "spacing": Spacing, "method": Method}
+# A decimal shift by k places never rounds in this context, so a scaled
+# value is rounded once, from its exact decimal to the nearest float.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _scaled(text: str, k: int) -> float:
+    return float(Decimal(text).scaleb(k, _EXACT))
 
 
 def _parse_value(key: str, raw: str, where: str) -> object:
-    if key not in CONFIG_KEYS:
+    if key not in _KEY_TABLE:
         raise ConfigError(f"{where}: unknown key {key!r}", code="UNKNOWN_KEY")
     norm = raw.strip()
     try:
@@ -391,8 +401,9 @@ def _parse_value(key: str, raw: str, where: str) -> object:
         if key == "outputs":
             names = [t.strip().upper() for t in norm.split(",") if t.strip()]
             return tuple(Output[n] for n in names)
-        return float(norm)
-    except (ValueError, KeyError) as exc:
+        value, k = float(norm), _KEY_TABLE[key][2]  # float() checks the syntax
+        return _scaled(norm, k) if k else value
+    except (ValueError, KeyError, ArithmeticError) as exc:
         raise ConfigError(
             f"{where}: cannot parse value {raw!r} for key {key!r}: {exc}",
             code="PARSE_ERROR",
@@ -408,7 +419,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
     out of range, NaN or infinite are rejected here with ``RANGE_ERROR``.
     """
     values: dict[str, object] = {
-        k: _parse_value(k, v, "default") for k, v in DEFAULTS.items()
+        key: _parse_value(key, entry[3], "default") for key, entry in _KEY_TABLE.items()
     }
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -427,8 +438,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
         values[key] = _parse_value(key, raw, f"override {key}")
 
     fields: dict[type, dict[str, object]] = {SystemParams: {}, MediumParams: {}, SweepSpec: {}}
-    for key, (owner, field, unit, _) in _KEY_TABLE.items():
-        fields[owner][field] = values[key] if unit == 1.0 else values[key] * unit
+    for key, (owner, field, _, _) in _KEY_TABLE.items():
+        fields[owner][field] = values[key]
     medium = MediumParams(**fields[MediumParams])
     try:
         medium.check()
@@ -446,14 +457,20 @@ def spec_metadata(spec: SweepSpec) -> dict[str, str]:
     CSV is self-describing."""
     owners = {SystemParams: spec.params, MediumParams: spec.medium, SweepSpec: spec}
     metadata = {}
-    for key, (owner, field, unit, _) in _KEY_TABLE.items():
+    for key, (owner, field, k, _) in _KEY_TABLE.items():
         value = getattr(owners[owner], field)
         if isinstance(value, Enum):
             metadata[key] = value.value
         elif isinstance(value, tuple):
             metadata[key] = ",".join(o.value for o in value)
+        elif not k:
+            metadata[key] = repr(value)
         else:
-            metadata[key] = repr(value if unit == 1.0 else value / unit)
+            text = repr(float(value) / 10.0**k)
+            if _scaled(text, k) != value:
+                # the shortest repr of the value itself, shifted by k places
+                text = format(Decimal(repr(float(value))).scaleb(-k, _EXACT), "g")
+            metadata[key] = text
     metadata["version"] = __version__
     metadata["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return metadata

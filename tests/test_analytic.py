@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from darkres import (
+    MediumParams,
+    Method,
     NumericError,
     SystemParams,
     coupling_hamiltonian,
+    dispersion_slope,
     dressed_states,
-    group_index_analytic,
-    rho23_incoherent,
-    rho23_limit,
-    rho23_weak_probe,
+    group_index,
+    probe_coherence,
     spike_half_width,
 )
+
+FULL, LIMIT, PUMP = Method.ANALYTIC_FULL, Method.ANALYTIC_LIMIT, Method.ANALYTIC_PUMP
+# The bench's pump-scan medium: the default one with a reference rate, so
+# that the group index is defined.
+SI_MEDIUM = MediumParams(gamma_si=1e7)
 
 
 class TestWeakProbeForm:
@@ -23,37 +29,37 @@ class TestWeakProbeForm:
         d34 = p.delta_p + 1j * (p.gamma41 + p.gamma42)
         d23 = p.delta_p + 1j * p.gamma23
         expected = p.g_p * d34 / (p.g42**2 - d23 * d34)
-        assert rho23_weak_probe(p) == pytest.approx(expected)
+        assert probe_coherence(p, FULL) == pytest.approx(expected)
 
     def test_spike_center_value(self, spike_config):
         # the two-pathway interference term vanishes on resonance without
         # 1->3 decay, leaving a purely absorptive i*g_p/gamma23
-        assert rho23_weak_probe(spike_config) == pytest.approx(
+        assert probe_coherence(spike_config, FULL) == pytest.approx(
             1j * spike_config.g_p / 0.14, rel=1e-12
         )
 
     def test_degenerate_denominator(self):
         with pytest.raises(NumericError) as exc:
-            rho23_weak_probe(SystemParams(g_p=1e-4))
+            probe_coherence(SystemParams(g_p=1e-4), FULL)
         assert exc.value.code == "DIVISION_DEGENERATE"
 
 
 class TestLimitForm:
     def test_center_value_exact(self, spike_config):
-        assert rho23_limit(spike_config) == pytest.approx(
+        assert probe_coherence(spike_config, LIMIT) == pytest.approx(
             1j * spike_config.g_p / 0.14, rel=1e-15
         )
 
     def test_absorptive_everywhere(self, spike_config):
         for d in np.linspace(-1e-3, 1e-3, 10001):
-            assert rho23_limit(replace(spike_config, delta_p=d)).imag > 0
+            assert probe_coherence(replace(spike_config, delta_p=d), LIMIT).imag > 0
 
     def test_half_width_matches_closed_form(self, spike_config):
-        peak = rho23_limit(spike_config).imag
+        peak = probe_coherence(spike_config, LIMIT).imag
         lo, hi = 0.0, 1e-3
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if rho23_limit(replace(spike_config, delta_p=mid)).imag > peak / 2:
+            if probe_coherence(replace(spike_config, delta_p=mid), LIMIT).imag > peak / 2:
                 lo = mid
             else:
                 hi = mid
@@ -68,52 +74,52 @@ class TestLimitForm:
         )
         for d in np.linspace(-1e-3, 1e-3, 201):
             p = replace(strong, delta_p=d)
-            full = rho23_weak_probe(p)
-            assert abs(rho23_limit(p) - full) / abs(full) <= 1e-3
+            full = probe_coherence(p, FULL)
+            assert abs(probe_coherence(p, LIMIT) - full) / abs(full) <= 1e-3
 
     def test_agreement_floor_at_figure_drive(self, spike_config):
         worst = 0.0
         for d in np.linspace(-1e-3, 1e-3, 201):
             p = replace(spike_config, delta_p=d)
-            full = rho23_weak_probe(p)
-            worst = max(worst, abs(rho23_limit(p) - full) / abs(full))
+            full = probe_coherence(p, FULL)
+            worst = max(worst, abs(probe_coherence(p, LIMIT) - full) / abs(full))
         assert worst <= 2e-2  # measured ~1.6e-2 = gamma23*Gamma34/g42^2
 
 
 class TestIncoherentPumpForm:
     def test_center_gain_value(self, pumped_config):
         # frozen from independent evaluation of the closed form
-        value = rho23_incoherent(pumped_config)
+        value = probe_coherence(pumped_config, PUMP)
         assert value == pytest.approx(-2.499863873484003e-4j, rel=1e-12)
         assert value.imag == pytest.approx(-2.50e-4, rel=1e-3)
 
     def test_gain_everywhere(self, pumped_config):
         for d in np.geomspace(1e-8, 1.0, 300):
-            assert rho23_incoherent(replace(pumped_config, delta_p=d)).imag < 0
-            assert rho23_incoherent(replace(pumped_config, delta_p=-d)).imag < 0
+            assert probe_coherence(replace(pumped_config, delta_p=d), PUMP).imag < 0
+            assert probe_coherence(replace(pumped_config, delta_p=-d), PUMP).imag < 0
 
     def test_lorentzian_half_width_equals_pump_rate(self, pumped_config):
         lam = pumped_config.lambda_pump
-        peak = abs(rho23_incoherent(pumped_config).imag)
+        peak = abs(probe_coherence(pumped_config, PUMP).imag)
         lo, hi = 0.0, 10 * lam
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if abs(rho23_incoherent(replace(pumped_config, delta_p=mid)).imag) > peak / 2:
+            if abs(probe_coherence(replace(pumped_config, delta_p=mid), PUMP).imag) > peak / 2:
                 lo = mid
             else:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(lam, rel=1e-2)
 
     def test_dispersion_odd(self, pumped_config):
-        assert rho23_incoherent(pumped_config).real == 0.0
-        plus = rho23_incoherent(replace(pumped_config, delta_p=3e-5)).real
-        minus = rho23_incoherent(replace(pumped_config, delta_p=-3e-5)).real
+        assert probe_coherence(pumped_config, PUMP).real == 0.0
+        plus = probe_coherence(replace(pumped_config, delta_p=3e-5), PUMP).real
+        minus = probe_coherence(replace(pumped_config, delta_p=-3e-5), PUMP).real
         assert plus == pytest.approx(-minus)
         assert plus > 0
 
     def test_degenerate_at_zero_pump_and_detuning(self, spike_config):
         with pytest.raises(NumericError) as exc:
-            rho23_incoherent(spike_config)
+            probe_coherence(spike_config, PUMP)
         assert exc.value.code == "DIVISION_DEGENERATE"
 
 
@@ -132,24 +138,38 @@ class TestFeatureScales:
 
 
 class TestAnalyticGroupIndex:
-    def test_negative_at_line_center(self, pumped_config):
-        assert group_index_analytic(pumped_config) < 0
+    """n_g - 1 by the pump form on the pumped config (negative means
+    superluminal).  Inside |delta_p| < lambda the pump form's dispersion
+    slope is positive, so n_g - 1 is large and positive (slow light); the
+    slope vanishes at delta_p = +-lambda, and n_g - 1 is negative outside."""
+
+    def test_positive_at_line_center(self, pumped_config):
+        assert group_index(pumped_config, SI_MEDIUM, 0.0, PUMP) - 1 > 0
 
     def test_zero_exactly_at_pump_rate(self, pumped_config):
         lam = pumped_config.lambda_pump
-        assert group_index_analytic(replace(pumped_config, delta_p=lam)) == 0.0
-        assert group_index_analytic(replace(pumped_config, delta_p=-lam)) == 0.0
+        for d in (lam, -lam):
+            assert dispersion_slope(pumped_config, SI_MEDIUM, d, PUMP)[0] == 0.0
 
-    def test_positive_outside(self, pumped_config):
+    def test_negative_outside(self, pumped_config):
         lam = pumped_config.lambda_pump
         for d in (1.5 * lam, 3 * lam, 10 * lam):
-            assert group_index_analytic(replace(pumped_config, delta_p=d)) > 0
+            assert group_index(pumped_config, SI_MEDIUM, d, PUMP) - 1 < 0
 
-    def test_most_negative_at_center(self, pumped_config):
+    def test_maximum_at_center(self, pumped_config):
         lam = pumped_config.lambda_pump
         grid = np.linspace(-3 * lam, 3 * lam, 601)
-        values = [group_index_analytic(replace(pumped_config, delta_p=d)) for d in grid]
-        assert grid[int(np.argmin(values))] == pytest.approx(0.0, abs=grid[1] - grid[0])
+        values = [group_index(pumped_config, SI_MEDIUM, d, PUMP) for d in grid]
+        assert grid[int(np.argmax(values))] == pytest.approx(0.0, abs=grid[1] - grid[0])
+
+    def test_numeric_route_has_the_same_signs(self, pumped_config):
+        # measured: +1.17e10 at the centre against the pump form's +5.06e10
+        lam = pumped_config.lambda_pump
+        signs = [
+            math.copysign(1.0, group_index(pumped_config, SI_MEDIUM, d) - 1)
+            for d in (0.0, 1.5 * lam, 3 * lam, 10 * lam)
+        ]
+        assert signs == [1.0, -1.0, -1.0, -1.0]
 
 
 class TestDressedStates:
@@ -191,6 +211,6 @@ def test_pump_form_matches_weak_probe_form_at_vanishing_pump(spike_config):
     # the inversion scale but far below all decay rates, and detuning well
     # outside the pump width, both forms describe the same wing
     p = replace(spike_config, g41=0.004, lambda_pump=2e-6, delta_p=5e-4)
-    pump_form = rho23_incoherent(p)
-    weak_form = rho23_weak_probe(replace(p, lambda_pump=0.0))
+    pump_form = probe_coherence(p, PUMP)
+    weak_form = probe_coherence(replace(p, lambda_pump=0.0), FULL)
     assert math.isclose(abs(pump_form.real), abs(weak_form.real), rel_tol=0.3)

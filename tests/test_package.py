@@ -1,7 +1,29 @@
 import darkres
 
+# The public surface, in __all__ order.  A name added to or removed from
+# the package shows here in the diff; a removed name cannot come back
+# unnoticed.
+PUBLIC = [
+    "__version__",
+    "SystemParams", "MediumParams", "DampingTable", "Regime", "RegimeFlag",
+    "validate_params", "damping_table",
+    "DensityMatrix", "assemble", "solve_linear",
+    "steady_state", "steady_state_derivative", "residual",
+    "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
+    "Method", "susceptibility", "chi_prefactor", "chi_at", "probe_coherence",
+    "dispersion_slope", "group_index", "find_absorption_zero",
+    "find_absorption_zero_auto", "find_gain_threshold", "auto_zero_bracket",
+    "Axis", "Spacing", "Output", "SweepSpec", "SweepTable",
+    "parse_config", "run_sweep", "write_csv",
+    "SimulationError", "ParameterError", "ConfigError", "NumericError",
+]
+
 
 def test_every_export_resolves():
     # a deleted name must also leave __all__
     assert [name for name in darkres.__all__ if not hasattr(darkres, name)] == []
     assert len(set(darkres.__all__)) == len(darkres.__all__)
+
+
+def test_public_surface_is_pinned():
+    assert darkres.__all__ == PUBLIC

@@ -19,7 +19,7 @@ from darkres import (
     find_gain_threshold,
 )
 from darkres import observables
-from darkres.observables import SIGN_FLOOR, _bracketed_newton
+from darkres.observables import SIGN_FLOOR, ZERO_BRACKET_EXPANSIONS, _bracketed_newton
 
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
 UNDRIVEN = SystemParams(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.01, **MERCURY)
@@ -62,9 +62,9 @@ def reference_zero(p, m, bracket):
     return _scan_and_bisect(lambda d: chi_at(p, m, d).imag, xs, 1e-6)
 
 
-def reference_zero_auto(p, m, max_expansions=3):
+def reference_zero_auto(p, m):
     lo, hi = auto_zero_bracket(p)
-    for _ in range(max_expansions + 1):
+    for _ in range(ZERO_BRACKET_EXPANSIONS + 1):
         try:
             return reference_zero(p, m, (lo, hi))
         except NumericError:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from darkres import (
+    Method,
     NumericError,
     SystemParams,
     assemble,
     damping_table,
+    probe_coherence,
     residual,
-    rho23_weak_probe,
     solve_linear,
     steady_state,
     steady_state_derivative,
@@ -307,7 +308,7 @@ class TestSteadyState:
         # At the narrow-feature center the response saturates; the
         # deviation from the first-order limit must scale as g_p^2,
         # which is what "first-order response regime" means there.
-        limit = rho23_weak_probe(replace(spike_config, g_p=1.0))
+        limit = probe_coherence(replace(spike_config, g_p=1.0), Method.ANALYTIC_FULL)
         devs = []
         for gp in (1e-4, 1e-5):
             r = steady_state(replace(spike_config, g_p=gp)).element(2, 3) / gp
@@ -323,7 +324,8 @@ class TestSteadyState:
             numeric = steady_state(p).element(2, 3)
             if abs(numeric) < 1e-10:
                 continue
-            worst = max(worst, abs(numeric - rho23_weak_probe(p)) / abs(numeric))
+            full = probe_coherence(p, Method.ANALYTIC_FULL)
+            worst = max(worst, abs(numeric - full) / abs(numeric))
         assert worst <= 1.1e-2  # saturation at the exact feature center is ~1%
 
 

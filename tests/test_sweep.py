@@ -2,6 +2,7 @@ import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from darkres import (
@@ -23,7 +24,7 @@ from darkres import (
     write_csv,
 )
 from darkres import observables, sweep
-from darkres.sweep import MAX_POINTS, read_csv_rows
+from darkres.sweep import MAX_POINTS, read_csv_rows, spec_metadata
 
 
 @pytest.fixture
@@ -99,6 +100,25 @@ class TestValidation:
         assert exc.value.code == "RANGE_ERROR"
         key = "start" if math.isinf(start) else "stop"
         assert str(exc.value) == f"{key} must be finite"
+
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e308)])
+    def test_overflowing_linear_span_rejected(self, spectrum_spec, start, stop):
+        # both ends are finite, but stop - start, or 2 * (stop - start) in
+        # grid(), is inf: the grid would hold nan or inf axis values
+        spec = replace(spectrum_spec, start=start, stop=stop, points=3)
+        with pytest.raises(ConfigError) as exc:
+            spec.validate()
+        assert exc.value.code == "RANGE_ERROR"
+        assert "start" in str(exc.value) and "stop" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "start, stop, points, spacing",
+        [(0.0, 1e308, 2, Spacing.LINEAR), (1e-300, 1e308, 3, Spacing.LOG)],
+    )
+    def test_widest_grids_accepted(self, spectrum_spec, start, stop, points, spacing):
+        spec = replace(spectrum_spec, start=start, stop=stop, points=points, spacing=spacing)
+        spec.validate()
+        assert all(math.isfinite(x) for x in spec.grid())
 
 
 class TestRunSweep:
@@ -250,6 +270,12 @@ class TestParseConfig:
             parse_config(setting + "\n")
         assert exc.value.code == "RANGE_ERROR"
 
+    def test_scaled_keys_parse_by_exact_decimal_shift(self):
+        # 589.1 * 1e-9 is 589.1e-9 plus one ulp; the shift is exact
+        medium = parse_config("wavelength_nm = 589.1\nN_per_cm3 = 3.3e11\n").medium
+        assert medium.probe_wavelength == 589.1e-9
+        assert medium.number_density == 3.3e17
+
     def test_outputs_list(self):
         spec = parse_config("outputs=CHI_IM, SLOPE\ngamma_SI=1e7\n")
         assert spec.outputs == (Output.CHI_IM, Output.SLOPE)
@@ -298,6 +324,31 @@ class TestWriteCsv:
         write_csv(run_sweep(spec), buf)
         assert "code=NO_SIGN_CHANGE" in buf.getvalue()
 
+    def test_scaled_keys_round_trip_seeded_draws(self, spectrum_spec):
+        # code-built values; today's text repr(value / 10**k) is kept where
+        # it reads back, and the shifted shortest repr of the value is
+        # written for the others (289 of these 1,000)
+        rng = np.random.default_rng(2024)
+        wavelengths = rng.uniform(100e-9, 1000e-9, 500).tolist()
+        densities = (10.0 ** rng.uniform(12, 24, 500)).tolist()
+        changed = 0
+        for wavelength, density in zip(wavelengths, densities):
+            medium = MediumParams(number_density=density, probe_wavelength=wavelength)
+            metadata = spec_metadata(replace(spectrum_spec, medium=medium))
+            config = "".join(
+                f"{key} = {metadata[key]}\n" for key in ("wavelength_nm", "N_per_cm3")
+            )
+            assert parse_config(config).medium == medium
+            for key, value, k in (("wavelength_nm", wavelength, -9), ("N_per_cm3", density, 6)):
+                old = repr(value / 10.0**k)
+                if sweep._scaled(old, k) == value:
+                    assert metadata[key] == old
+                else:
+                    changed += 1
+        assert changed > 0
+        literal = replace(spectrum_spec, medium=MediumParams(probe_wavelength=589.1e-9))
+        assert spec_metadata(literal)["wavelength_nm"] == "589.1"
+
     def test_io_error(self, spectrum_spec):
         table = run_sweep(replace(spectrum_spec, points=2))
         with pytest.raises(ConfigError) as exc:
@@ -312,7 +363,12 @@ class TestWriteCsv:
             "method=analytic-full\noutputs=CHI_IM,SLOPE,NG\nN_per_cm3=3.3e11\n"
             "wavelength_nm=589.1\ngamma23_over_gamma=0.3\ngamma_SI=1e7\ng41=0.04\n"
         )
-        for spec in (replace(spectrum_spec, points=2), log_lambda):
+        # a medium built in code, whose wavelength has no text that a
+        # multiply-by-1e-9 parse reads back
+        literal = replace(
+            spectrum_spec, points=2, medium=MediumParams(probe_wavelength=589.1e-9)
+        )
+        for spec in (replace(spectrum_spec, points=2), log_lambda, literal):
             buf = io.StringIO()
             write_csv(run_sweep(spec), buf)
             config_lines = [
