@@ -18,10 +18,12 @@ from dataclasses import replace
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
-from .model import MediumParams, SystemParams
-from .steady_state import steady_state, steady_state_derivative
+from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
+from .steady_state import _basis, _index, assemble, steady_state, steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -37,6 +39,13 @@ THRESHOLD_REL_TOL = 1e-3
 NEWTON_MAX_ITER = 100
 # Tenfold widenings of find_absorption_zero_auto's bracket before it gives up.
 ZERO_BRACKET_EXPANSIONS = 3
+# Relative half width of the bracket around the first-order crossing that
+# find_absorption_zero_auto tries first; the first-order error is ~1e-5
+# relative at g_p = 1e-4 and grows towards the onset of transparency.
+_SEED_BRACKET_REL = 1e-2
+# The probe coherences rho13, rho23 and rho43 among the 16 unknowns: at
+# g_p = 0 their block of the steady-state matrix is closed.
+_PROBE_BLOCK = [_index(1, 3), _index(2, 3), _index(4, 3)]
 
 
 class Method(str, Enum):
@@ -247,7 +256,11 @@ def _im_chi_crossing(
 
 def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
     """Default search interval for a vanishing-absorption detuning:
-    (0, 10x the larger of the pump rate and the spike half width]."""
+    (0, 10x the larger of the pump rate and the spike half width].
+
+    :func:`find_absorption_zero_auto` widens it by decades, up to
+    ``ZERO_BRACKET_EXPANSIONS`` times; the widest of these brackets is
+    also the domain in which it accepts a first-order crossing."""
     scale = p.lambda_pump
     if p.g42 > 0:
         scale = max(scale, spike_half_width(p))
@@ -257,6 +270,58 @@ def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
             code="NO_SIGN_CHANGE",
         )
     return (0.0, 10.0 * scale)
+
+
+def _first_order_zero(p: SystemParams, side: int) -> float:
+    """Detuning nearest 0 on the ``side`` half-axis at which chi'' vanishes
+    to first order in the probe field.
+
+    At g_p = 0 the block S = (rho13, rho23, rho43) of the matrix has no
+    entries outside S, the probe detuning enters it as +i delta on its
+    diagonal, and the probe-free state x0 does not depend on delta.  So
+    the first-order rho23 / g_p is [(M + z I)^-1 r]_rho23 with z = i delta,
+    M the block at delta = 0 and r = -(B_gp x0)[S].  By Cayley-Hamilton
+    that is N(z) / D(z) with D = det(M + z I) = z^3 + t z^2 + e2 z + det M
+    and N the rho23 entry of adj(M + z I) r = z^2 r + z (t r - M r) +
+    adj(M) r, where t = tr M, e2 = (t^2 - tr M^2) / 2 and adj(M) = M^2 -
+    t M + e2 I.  Im(N / D) vanishes at the real roots of the real
+    polynomial Im(N conj(D)) in delta, of degree <= 5.  One gated solve,
+    for x0.  Raises ``NO_SIGN_CHANGE`` when no real root lies on the side.
+    """
+    p0 = replace(p, g_p=0.0, delta_p=0.0)
+    x0 = steady_state(p0).rho.reshape(16)
+    r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ x0)[_PROBE_BLOCK]
+    m = assemble(p0)[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
+    m2 = m @ m
+    t = np.trace(m)
+    e2 = 0.5 * (t * t - np.trace(m2))
+    adj = m2 - t * m + e2 * np.eye(3)
+    det = (m @ adj)[0, 0]
+    # coefficients in delta, highest power first; z^k = i^k delta^k
+    den = np.array([-1j, -t, 1j * e2, det])
+    num = np.array([-r[1], 1j * (t * r[1] - (m @ r)[1]), (adj @ r)[1]])
+    sign = 1.0 if side >= 0 else -1.0
+    roots = np.roots(np.convolve(num, den.conj()).imag)
+    real = [z.real for z in roots if z.imag == 0 and sign * z.real > 0]
+    if not real:
+        raise NumericError("no first-order crossing on this side", code="NO_SIGN_CHANGE")
+    return float(min(real, key=abs))
+
+
+def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:
+    """Bracket on the positive half-axis, +-``_SEED_BRACKET_REL`` relative
+    around |first-order crossing|, or None: for a probe that is not weak,
+    when the crossing cannot be computed, and when it lies beyond
+    ``reach``."""
+    if not p.g_p <= WEAK_PROBE_FACTOR * p.gamma23:
+        return None
+    try:
+        d1 = abs(_first_order_zero(p, side))
+    except NumericError:
+        return None
+    if not d1 <= reach:
+        return None
+    return (d1 * (1.0 - _SEED_BRACKET_REL), d1 * (1.0 + _SEED_BRACKET_REL))
 
 
 def find_absorption_zero(
@@ -299,24 +364,33 @@ def find_absorption_zero_auto(
 ) -> float:
     """Locate a vanishing-absorption detuning without a user bracket.
 
-    Starts from the automatic bracket and widens it by decades when no
-    sign change is found: for strong drives the crossing sits many gain
-    half widths out (the gain wing decays slowly against a background
-    suppressed by optical pumping), beyond any fixed small multiple of
-    the feature scale.  Each bracket is tried by ``find_absorption_zero``,
-    so a bracket whose ends share a sign is a miss (two solves) and the
-    next decade is tried.  ``side`` selects the positive or negative
-    detuning half-axis.
+    ``side`` selects the positive or negative detuning half-axis.  Each
+    bracket is tried by ``find_absorption_zero``, and the first root found
+    is returned.  For a weak probe the first bracket is a tight one around
+    the exact first-order crossing (``_first_order_zero``), which lies
+    within ~1e-5 relative of the true one at g_p = 1e-4; it is a hint
+    only, so any ``NumericError`` from it moves on to the decade brackets.
+    These start from the automatic bracket and widen it tenfold, up to
+    ``ZERO_BRACKET_EXPANSIONS`` times, while the ends share a sign (a miss
+    costs two solves): for strong drives the crossing sits many gain half
+    widths out (the gain wing decays slowly against a background
+    suppressed by optical pumping), beyond any fixed small multiple of the
+    feature scale.  A first-order crossing beyond the widest decade
+    bracket is not tried.
     """
     lo, hi = auto_zero_bracket(p)
-    for _ in range(ZERO_BRACKET_EXPANSIONS + 1):
-        bracket = (lo, hi) if side >= 0 else (-hi, -lo)
+    decades = [(lo, hi)]
+    for _ in range(ZERO_BRACKET_EXPANSIONS):
+        hi *= 10.0
+        decades.append((lo, hi))
+    seed = _seed_bracket(p, side, hi)
+    for bracket in ([seed] if seed else []) + decades:
+        a, b = bracket
         try:
-            return find_absorption_zero(p, m, bracket)
+            return find_absorption_zero(p, m, (a, b) if side >= 0 else (-b, -a))
         except NumericError as exc:
-            if exc.code != "NO_SIGN_CHANGE":
+            if bracket is not seed and exc.code != "NO_SIGN_CHANGE":
                 raise
-            hi *= 10.0
     raise NumericError(
         "no vanishing-absorption detuning up to the expanded bracket",
         code="NO_SIGN_CHANGE",

@@ -463,8 +463,11 @@ def spec_metadata(spec: SweepSpec) -> dict[str, str]:
             metadata[key] = value.value
         elif isinstance(value, tuple):
             metadata[key] = ",".join(o.value for o in value)
+        elif key == "points":
+            metadata[key] = repr(int(value))
         elif not k:
-            metadata[key] = repr(value)
+            # float() first: the repr of a numpy float is not config syntax
+            metadata[key] = repr(float(value))
         else:
             text = repr(float(value) / 10.0**k)
             if _scaled(text, k) != value:
@@ -492,8 +495,14 @@ def write_csv(table: SweepTable, destination: str | Path | IO[str]) -> None:
     for x, code in table.failures:
         lines.append(f"# failed: {_format(x)} code={code}")
     lines.append(",".join(table.columns))
+    template = ",".join(["%.17g"] * len(table.columns))
     for row in table.rows:
-        lines.append(",".join(_format(v) for v in row))
+        # one template per row gives the digits of _format at a fraction of
+        # the cost; a text label (the dressed-state rows) takes _format
+        try:
+            lines.append(template % tuple(row))
+        except TypeError:
+            lines.append(",".join(_format(v) for v in row))
     payload = "\n".join(lines) + "\n"
 
     if hasattr(destination, "write"):

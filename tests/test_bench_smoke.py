@@ -1,6 +1,6 @@
 """One traced pass of each bench workload, so that a change to a traced
 layer's signature (``assemble``, ``solve_linear``, ...) cannot silently
-break ``bench/run.py``."""
+break ``bench/run.py``; the pump scan also keeps its solve budget."""
 
 import json
 import subprocess
@@ -25,3 +25,9 @@ def test_one_traced_pass(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+    if workload == "pump_scan":
+        # every zero search hits on its first, seeded bracket: 145 solves a
+        # pass at seed 0, where the decade search alone needs 216
+        metrics = {key: value["value"] for key, value in result["metrics"].items()}
+        assert metrics["steady_state.calls"] <= 150
+        assert metrics["observables.find_absorption_zero_auto.bracket_hit_ratio"] == 1.0

@@ -1,6 +1,7 @@
 """The bracketed Newton root finders against the scan-and-bisect finders
-they replaced, kept here as a reference, and the safeguard of the Newton
-routine itself."""
+they replaced, kept here as a reference; the first-order seed of the
+automatic zero finder against its decade search; and the safeguard of the
+Newton routine itself."""
 
 import math
 from dataclasses import replace
@@ -19,7 +20,14 @@ from darkres import (
     find_gain_threshold,
 )
 from darkres import observables
-from darkres.observables import SIGN_FLOOR, ZERO_BRACKET_EXPANSIONS, _bracketed_newton
+from darkres.model import WEAK_PROBE_FACTOR
+from darkres.observables import (
+    SIGN_FLOOR,
+    ZERO_BRACKET_EXPANSIONS,
+    ZERO_IM_TOL,
+    _bracketed_newton,
+    _first_order_zero,
+)
 
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
 UNDRIVEN = SystemParams(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.01, **MERCURY)
@@ -181,6 +189,160 @@ def test_miss_costs_two_solves(monkeypatch):
     with pytest.raises(NumericError):
         find_absorption_zero(SPIKE, MEDIUM, (1e-5, 1e-3))
     assert len(calls) == 2
+
+
+# --- the first-order seed against the decade search alone ---
+
+def decade_zero(p, m, side=+1):
+    """find_absorption_zero_auto without its seed: the automatic bracket
+    widened tenfold up to ZERO_BRACKET_EXPANSIONS times."""
+    lo, hi = auto_zero_bracket(p)
+    for _ in range(ZERO_BRACKET_EXPANSIONS + 1):
+        try:
+            return find_absorption_zero(p, m, (lo, hi) if side >= 0 else (-hi, -lo))
+        except NumericError as exc:
+            if exc.code != "NO_SIGN_CHANGE":
+                raise
+            hi *= 10.0
+    raise NumericError("no sign change", code="NO_SIGN_CHANGE")
+
+
+def seeded_draw(rng, pumped):
+    """The bench's random states: the paper's pumped regime, or a general
+    detuned state with gamma13 > 0."""
+    if pumped:
+        return SystemParams(
+            g41=rng.uniform(0.01, 0.1), g42=rng.uniform(2.0, 10.0), g_p=1e-4,
+            delta_p=rng.uniform(-1e-3, 1e-3), gamma13=0.0,
+            lambda_pump=10 ** rng.uniform(-6, -3), **MERCURY,
+        )
+    return SystemParams(
+        g41=rng.uniform(0, 2), g42=rng.uniform(0.1, 5), g_p=rng.uniform(1e-5, 0.1),
+        delta41=rng.uniform(-5, 5), delta42=rng.uniform(-5, 5), delta_p=rng.uniform(-5, 5),
+        gamma41=rng.uniform(0.1, 2), gamma42=rng.uniform(0.1, 2), gamma23=rng.uniform(0.01, 1),
+        gamma13=rng.uniform(1e-3, 0.1), lambda_pump=rng.uniform(0, 0.05),
+    )
+
+
+@pytest.mark.parametrize("pumped", [True, False])
+def test_seed_agrees_with_decade_search_on_seeded_draws(pumped):
+    """The same root within 1e-10 where both find one, and the same error
+    code where both fail; a root only the seed finds is a verified
+    crossing, and a root the seed loses is a failure."""
+    rng = np.random.default_rng(14)
+    both = 0
+    for _ in range(25):
+        p = seeded_draw(rng, pumped)
+        for side in (+1, -1):
+            new = outcome(find_absorption_zero_auto, p, MEDIUM, side)
+            ref = outcome(decade_zero, p, MEDIUM, side)
+            if isinstance(new, str):
+                assert new == ref, (p, side)
+            elif isinstance(ref, str):
+                assert abs(chi_at(p, MEDIUM, new).imag) <= ZERO_IM_TOL
+            else:
+                assert new == pytest.approx(ref, rel=1e-10), (p, side)
+                both += 1
+    assert both > 0
+
+
+def test_seed_takes_the_crossing_nearest_zero():
+    """A general detuned state with three crossings in (0, 28): the decade
+    brackets miss (0, 0.28) and (0, 2.8), and Newton in (0, 28.1) lands on
+    the far one; the seed returns the first, as the scan does."""
+    p = SystemParams(
+        g41=1.9265408689364618, g42=2.351880559099007, g_p=9.33889078937378e-05,
+        delta41=0.5963326925886907, delta42=-4.816766033153228,
+        delta_p=-0.9297864659083448, gamma41=1.9795407773433564,
+        gamma42=0.4514139891654637, gamma23=0.025596106107647405,
+        gamma13=0.03835592006800606, lambda_pump=0.028073324546886443,
+    )
+    root = find_absorption_zero_auto(p, MEDIUM)
+    assert root == pytest.approx(reference_zero_auto(p, MEDIUM), rel=1e-6)
+    assert root == pytest.approx(4.7353, rel=1e-4)
+    assert decade_zero(p, MEDIUM) == pytest.approx(26.141, rel=1e-4)
+
+
+def test_seed_finds_a_crossing_of_a_pair_the_decades_straddle():
+    """A general detuned state with crossings at -1.185 and -1.049: every
+    decade bracket holds both, so its ends share a sign; the seed returns
+    the one nearer 0."""
+    p = SystemParams(
+        g41=0.5741665509539964, g42=4.314169050705674, g_p=0.007645377894685253,
+        delta41=-1.1549994475045198, delta42=-0.04404204280049662,
+        delta_p=-3.503595558665824, gamma41=1.9708653973621761,
+        gamma42=0.2603530299008842, gamma23=0.8397868060905703,
+        gamma13=0.001551674069253833, lambda_pump=0.04766209096061103,
+    )
+    assert outcome(decade_zero, p, MEDIUM, -1) == "NO_SIGN_CHANGE"
+    root = find_absorption_zero_auto(p, MEDIUM, -1)
+    assert root == pytest.approx(-1.0488, rel=1e-4)
+    assert abs(chi_at(p, MEDIUM, root).imag) <= ZERO_IM_TOL
+
+
+def test_first_order_gap_shrinks_as_probe_squared():
+    gaps = []
+    for g_p in (5e-5, 1e-4, 2e-4, 4e-4):
+        p = replace(PUMPED, g_p=g_p)
+        exact = find_absorption_zero(p, MEDIUM, (1e-5, 1e-3))
+        gaps.append(abs(_first_order_zero(p, +1) - exact) / exact)
+    assert gaps[1] < 1e-5
+    for smaller, larger in zip(gaps, gaps[1:]):
+        assert larger / smaller == pytest.approx(4.0, rel=0.02)
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+def test_seeded_bracket_is_tried_first_and_hits(side, count_calls):
+    calls = count_calls("find_absorption_zero", observables)
+    root = find_absorption_zero_auto(PUMPED, MEDIUM, side)
+    assert len(calls) == 1
+    lo, hi = calls[0][2]
+    assert lo < root < hi and hi - lo == pytest.approx(0.02 * abs(root), rel=1e-4)
+    assert root == pytest.approx(decade_zero(PUMPED, MEDIUM, side), rel=1e-10)
+
+
+def test_strong_probe_takes_the_decade_path(count_calls):
+    p = replace(PUMPED, g_p=2 * WEAK_PROBE_FACTOR * PUMPED.gamma23)
+    calls = count_calls("find_absorption_zero", observables)
+    seeds = count_calls("_first_order_zero", observables)
+    assert outcome(find_absorption_zero_auto, p, MEDIUM) == outcome(decade_zero, p, MEDIUM)
+    assert seeds == []
+    assert calls[0][2] == auto_zero_bracket(p)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(NumericError("probe block singular", code="SINGULAR"), id="raises"),
+        pytest.param(1e15, id="beyond-reach"),
+        pytest.param(0.5 * 2.6241e-4, id="misses"),
+    ],
+)
+def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
+    def first_order(p, side):
+        if isinstance(seed, Exception):
+            raise seed
+        return side * seed
+
+    expected = decade_zero(PUMPED, MEDIUM)
+    monkeypatch.setattr(observables, "_first_order_zero", first_order)
+    assert find_absorption_zero_auto(PUMPED, MEDIUM) == expected
+
+
+def test_seeded_bracket_error_falls_back(monkeypatch):
+    real = observables.find_absorption_zero
+    brackets = []
+
+    def first_fails(p, m, bracket):
+        brackets.append(bracket)
+        if len(brackets) == 1:
+            raise NumericError("did not converge", code="NO_CONVERGENCE")
+        return real(p, m, bracket)
+
+    expected = decade_zero(PUMPED, MEDIUM)
+    monkeypatch.setattr(observables, "find_absorption_zero", first_fails)
+    assert find_absorption_zero_auto(PUMPED, MEDIUM) == expected
+    assert brackets[1] == auto_zero_bracket(PUMPED)
 
 
 # --- the safeguarded Newton routine ---

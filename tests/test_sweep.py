@@ -349,6 +349,44 @@ class TestWriteCsv:
         literal = replace(spectrum_spec, medium=MediumParams(probe_wavelength=589.1e-9))
         assert spec_metadata(literal)["wavelength_nm"] == "589.1"
 
+    def test_numpy_field_values_round_trip(self, spectrum_spec):
+        # a spec built in code with numpy scalars: their repr (np.float64(..))
+        # is not config syntax, so the metadata writes plain numbers
+        spec = replace(
+            spectrum_spec,
+            params=replace(
+                spectrum_spec.params, g41=np.float64(0.04), lambda_pump=np.float64(4e-5)
+            ),
+            medium=MediumParams(gamma23_over_gamma=np.float64(0.3), gamma_si=np.float64(1e7)),
+            start=np.float64(-2.0),
+            stop=np.float64(0.1),
+            points=np.int64(7),
+        )
+        metadata = spec_metadata(spec)
+        assert (metadata["g41"], metadata["start"], metadata["points"]) == ("0.04", "-2.0", "7")
+        config = "".join(
+            f"{key} = {value}\n"
+            for key, value in metadata.items()
+            if key not in ("version", "timestamp")
+        )
+        assert parse_config(config) == spec
+
+    def test_rows_at_seventeen_digits(self):
+        # the float rows and the text-labelled rows both print every value
+        # as f"{value:.17g}"
+        tiny, big = 5e-324, 1.7976931348623157e308
+        rows = [
+            (0.0, -0.0, math.nan),
+            (math.inf, -math.inf, tiny),
+            (2.2250738585072014e-308, big, -big),
+            (np.float64(0.1), 3, 1e-5),
+            ("+", np.float64(-1.25), 0.5),
+        ]
+        buf = io.StringIO()
+        write_csv(SweepTable(["a", "b", "c"], rows, {}, []), buf)
+        lines = [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+        assert buf.getvalue() == "\n".join(["a,b,c"] + lines) + "\n"
+
     def test_io_error(self, spectrum_spec):
         table = run_sweep(replace(spectrum_spec, points=2))
         with pytest.raises(ConfigError) as exc:
