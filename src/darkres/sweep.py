@@ -141,12 +141,17 @@ class SweepSpec:
         for key in ("start", "stop"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite", code="RANGE_ERROR")
-        # grid() forms k * (stop - start) for k up to points - 1
-        span = (self.points - 1) * (self.stop - self.start)
-        if self.spacing is Spacing.LINEAR and not math.isfinite(span):
-            raise ConfigError("stop - start overflows the LINEAR grid", code="RANGE_ERROR")
         if self.spacing is Spacing.LOG and not self.start > 0:
             raise ConfigError("LOG spacing requires start > 0", code="RANGE_ERROR")
+        # the grid increases from start, so its last point bounds every other
+        try:
+            (last,) = self._values([self.points - 1])
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ConfigError(
+                "the grid from start to stop overflows at its last point", code="RANGE_ERROR"
+            )
         if self.axis in (Axis.LAMBDA, Axis.G42) and self.start < 0:
             raise ConfigError(f"{self.axis.value} axis must be >= 0", code="RANGE_ERROR")
         if not self.outputs:
@@ -159,11 +164,16 @@ class SweepSpec:
     def grid(self) -> list[float]:
         """Axis values start + k*(stop-start)/(points-1), or the base-10
         logarithmic analog, reproduced to machine precision."""
+        return self._values(range(self.points))
+
+    def _values(self, ks: Iterable[int]) -> list[float]:
+        """Grid points ``ks``; LOG raises ``OverflowError`` past max float."""
         n = self.points - 1
         if self.spacing is Spacing.LINEAR:
-            return [self.start + k * (self.stop - self.start) / n for k in range(self.points)]
+            span = self.stop - self.start
+            return [self.start + k * span / n for k in ks]
         la, lb = math.log10(self.start), math.log10(self.stop)
-        return [10.0 ** (la + k * (lb - la) / n) for k in range(self.points)]
+        return [10.0 ** (la + k * (lb - la) / n) for k in ks]
 
 
 @dataclass
@@ -227,18 +237,6 @@ def _evaluate_point(
         return x, None, exc.code
 
 
-def _admissible(field: str, axis: np.ndarray) -> np.ndarray:
-    """Axis values that pass ``steady_state``'s preconditions for every
-    choice of the other fields: finite, > 0 on the pump axis (where 0 may
-    trap) and >= 0 on the drive axis."""
-    ok = np.isfinite(axis)
-    if field == "lambda_pump":
-        ok &= axis > 0
-    elif field == "g42":
-        ok &= axis >= 0
-    return ok
-
-
 def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
@@ -246,19 +244,19 @@ def _resolvent_sweep(
     state at the middle of the grid, or None when the route does not
     apply to the whole sweep.
 
-    A point is accepted when its axis value is admissible, its state
+    A point is accepted when its axis value is admissible (``validate``
+    leaves only lambda = 0, which may trap, to exclude), its state
     passes the checks of ``DensityMatrix.validate`` and its backward error
     is at most ``BACKWARD_TOL``; any other point is evaluated on
     its own.  None is returned, and the caller solves point by point, when
-    the base solve or the cross-check solve at the grid end farthest from
-    the base raises, when cond_1(W) exceeds ``RESOLVENT_COND_MAX``, or when
-    that grid end is rejected or its chi disagrees with the cross-check.
+    the base solve or the cross-check solve at the last grid point (on the
+    increasing grid, no nearer the base than the first) raises, when
+    cond_1(W) exceeds ``RESOLVENT_COND_MAX``, or when that point is
+    rejected or its chi disagrees with the cross-check.
     """
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
-    if abs(grid[0] - grid[base]) > abs(grid[far] - grid[base]):
-        far = 0
     p0 = _point_params(spec, grid[base])
     try:
         dm = steady_state(p0)
@@ -277,7 +275,7 @@ def _resolvent_sweep(
     norm_a0 = np.max(np.sum(np.abs(a0), axis=1))
     norm_b1 = np.max(np.sum(np.abs(b1), axis=1))
     axis = np.array(grid)
-    accepted = _admissible(field, axis)
+    accepted = axis > 0 if field == "lambda_pump" else np.ones(len(grid), dtype=bool)
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -1,11 +1,21 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from darkres import MediumParams, SystemParams
 
-# The one Hypothesis profile: the same examples on every run, no example
-# database, and a bound on the examples that keeps the property tests
-# within about a second.
+# bench/oracle.py is the one superoperator reference of the repository;
+# the tests import it as ``oracle`` whether or not bench/ is collected.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+# The one Hypothesis profile: derandomized, no example database, and a
+# bound on the examples that keeps the property tests within about a
+# second.  Derandomized draws repeat only for the same loaded modules:
+# Hypothesis mixes in numeric constants from every local module imported,
+# so collecting bench/ or editing any module changes the examples, and a
+# property must hold on its whole strategy, not only on today's draws.
 settings.register_profile(
     "deterministic", derandomize=True, database=None, max_examples=200, deadline=None
 )

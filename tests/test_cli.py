@@ -104,12 +104,17 @@ class TestExitCodes:
         assert out == ""
 
     def test_overflowing_linear_span_is_range_error(self, capsys):
-        # both ends finite, stop - start is inf
-        args = ["sweep", "--set", "start=-1e308", "--set", "stop=1e308", "--set", "points=3"]
-        code, out, err = run_cli(args, capsys)
-        assert code == 2
-        assert "RANGE_ERROR" in err
-        assert out == ""
+        # both ends finite; stop - start is inf, or the LOG grid's last
+        # point overflows
+        for ends in (
+            ["--set", "start=-1e308", "--set", "stop=1e308"],
+            ["--set", "axis=LAMBDA", "--set", "spacing=LOG",
+             "--set", "start=1", "--set", "stop=1.7976931348623157e308"],
+        ):
+            code, out, err = run_cli(["sweep", *ends, "--set", "points=3"], capsys)
+            assert code == 2
+            assert "RANGE_ERROR" in err
+            assert out == ""
 
     def test_numeric_error_without_pump(self, spike_file, capsys):
         code, _, err = run_cli(["zero", "--config", str(spike_file)], capsys)

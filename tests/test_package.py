@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import darkres
 
 # The public surface, in __all__ order.  A name added to or removed from
@@ -27,3 +30,18 @@ def test_every_export_resolves():
 
 def test_public_surface_is_pinned():
     assert darkres.__all__ == PUBLIC
+
+
+def test_oracle_imports_nothing_from_the_program():
+    # tier-1 and the bench both check darkres against bench/oracle.py, so
+    # it must not reach darkres, directly or through another module
+    source = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import keeps its leading dots, so it fails too
+            roots.add("." * node.level + (node.module or "").split(".")[0])
+    assert roots <= {"__future__", "math", "numpy"}

@@ -26,6 +26,7 @@ from darkres.steady_state import (
     _valid_states,
     equations_of_motion,
 )
+import oracle
 
 # The package binds the name steady_state to the function, so the module
 # is looked up by its full name.
@@ -47,42 +48,6 @@ def random_valid_params(rng):
         gamma13=rng.uniform(1e-3, 0.1),
         lambda_pump=rng.uniform(0, 0.05),
     )
-
-
-def lindblad_superoperator_ss(p):
-    """Independent oracle: build the master equation from the Hamiltonian
-    and collapse operators (superoperator form) and solve by least squares.
-
-    Shares nothing with the production path except the parameter values:
-    different construction, different algorithm.
-    """
-    def op(i, j):
-        o = np.zeros((4, 4), dtype=complex)
-        o[i - 1, j - 1] = 1.0
-        return o
-
-    h = np.diag([p.delta41, p.delta42, p.delta_p + p.delta42, 0.0]).astype(complex)
-    h -= p.g41 * (op(1, 4) + op(4, 1))
-    h -= p.g42 * (op(2, 4) + op(4, 2))
-    h -= p.g_p * (op(2, 3) + op(3, 2))
-    collapse = [
-        np.sqrt(2 * p.gamma41) * op(1, 4),
-        np.sqrt(2 * p.gamma42) * op(2, 4),
-        np.sqrt(2 * p.gamma23) * op(3, 2),
-        np.sqrt(2 * p.gamma13) * op(3, 1),
-        np.sqrt(2 * p.lambda_pump) * op(2, 3),
-        np.sqrt(2 * p.lambda_pump) * op(3, 2),
-    ]
-    eye = np.eye(4)
-    lsup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c in collapse:
-        cdc = c.conj().T @ c
-        lsup += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-    a = np.vstack([lsup, eye.reshape(1, 16)])
-    b = np.zeros(17, dtype=complex)
-    b[16] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x.reshape(4, 4)
 
 
 def eliminate_twice(a, b):
@@ -290,11 +255,13 @@ class TestSteadyState:
         for _ in range(10):
             p = random_valid_params(rng)
             dm = steady_state(p)
-            assert np.max(np.abs(dm.rho - lindblad_superoperator_ss(p))) <= 1e-9
+            want = oracle.steady_state_and_derivative(p)[0]
+            assert np.max(np.abs(dm.rho - want)) <= 1e-9
 
     def test_matches_superoperator_oracle_with_pump(self, pumped_config):
         dm = steady_state(pumped_config)
-        assert np.max(np.abs(dm.rho - lindblad_superoperator_ss(pumped_config))) <= 1e-9
+        want = oracle.steady_state_and_derivative(pumped_config)[0]
+        assert np.max(np.abs(dm.rho - want)) <= 1e-9
 
     def test_response_linear_in_probe_away_from_feature(self, spike_config):
         for d in (0.01, 0.1, 1.0, 4.0):

@@ -101,11 +101,19 @@ class TestValidation:
         key = "start" if math.isinf(start) else "stop"
         assert str(exc.value) == f"{key} must be finite"
 
-    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (0.0, 1e308)])
-    def test_overflowing_linear_span_rejected(self, spectrum_spec, start, stop):
+    @pytest.mark.parametrize(
+        "start, stop, spacing",
+        [
+            pytest.param(-1e308, 1e308, Spacing.LINEAR, id="-1e+308-1e+308"),
+            pytest.param(0.0, 1e308, Spacing.LINEAR, id="0.0-1e+308"),
+            pytest.param(1.0, 1.7976931348623157e308, Spacing.LOG, id="LOG-1.0-max"),
+        ],
+    )
+    def test_overflowing_linear_span_rejected(self, spectrum_spec, start, stop, spacing):
         # both ends are finite, but stop - start, or 2 * (stop - start) in
-        # grid(), is inf: the grid would hold nan or inf axis values
-        spec = replace(spectrum_spec, start=start, stop=stop, points=3)
+        # grid(), is inf; on the LOG grid the last exponent rounds up past
+        # log10 of max float: the grid would hold nan or inf axis values
+        spec = replace(spectrum_spec, start=start, stop=stop, points=3, spacing=spacing)
         with pytest.raises(ConfigError) as exc:
             spec.validate()
         assert exc.value.code == "RANGE_ERROR"
