@@ -17,15 +17,7 @@ from .analytic import (
     spike_half_width,
 )
 from .errors import ConfigError, NumericError, ParameterError, SimulationError
-from .model import (
-    DampingTable,
-    MediumParams,
-    Regime,
-    RegimeFlag,
-    SystemParams,
-    damping_table,
-    validate_params,
-)
+from .model import DampingTable, MediumParams, SystemParams, damping_table
 from .observables import (
     Method,
     auto_zero_bracket,
@@ -60,8 +52,7 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "SystemParams", "MediumParams", "DampingTable", "Regime", "RegimeFlag",
-    "validate_params", "damping_table",
+    "SystemParams", "MediumParams", "DampingTable", "damping_table",
     "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",

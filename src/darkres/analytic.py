@@ -4,12 +4,12 @@ These expressions are leading-order expansions of the steady state in the
 probe Rabi frequency and serve as independent oracles for the numeric
 solver: the full weak-probe form everywhere, a narrow-feature limit form
 around zero probe detuning, and an incoherent-pump form describing the
-gain spike.  None of them enforce their validity conditions (see
-:func:`darkres.model.validate_params` for regime flags), so they can also
-be plotted outside their regimes for comparison purposes.  Each form is
-rational in the probe detuning and returns the coherence together with its
-exact detuning derivative; they are reached through the ``Method.ANALYTIC_*``
-routes of :mod:`darkres.observables`, like the numeric solver.
+gain spike.  None of them enforce their validity conditions, so they can
+also be plotted outside their regimes for comparison purposes.  Each form
+is rational in the probe detuning and returns the coherence together with
+its exact detuning derivative; they are reached through the
+``Method.ANALYTIC_*`` routes of :mod:`darkres.observables`, like the
+numeric solver.
 """
 
 from __future__ import annotations

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .errors import ParameterError
 
 # Probe counts as weak when g_p <= WEAK_PROBE_FACTOR * gamma23; keeps the
 # relative error of the first-order response below ~1e-4.
 WEAK_PROBE_FACTOR = 1e-2
-# Narrow-feature limit: g41/g42 and |delta_p|/gamma below these bounds.
-LIMIT_RABI_RATIO = 1e-2
-LIMIT_DETUNING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -102,23 +98,6 @@ class DampingTable:
         return self.gamma_total[i - 1] + self.gamma_total[j - 1]
 
 
-class Regime(str, Enum):
-    """Parameter regimes in which the closed-form solutions are trustworthy."""
-
-    WEAK_PROBE = "WEAK_PROBE"
-    LIMIT_REGIME = "LIMIT_REGIME"
-    PUMP_REGIME = "PUMP_REGIME"
-
-
-@dataclass(frozen=True)
-class RegimeFlag:
-    """A regime that holds, with the factor by which its binding inequality
-    is satisfied (margin 1 means marginal, larger means comfortable)."""
-
-    regime: Regime
-    margin: float
-
-
 def check_params(p: SystemParams) -> None:
     """Reject structurally invalid parameters with a named violation.
 
@@ -135,55 +114,6 @@ def check_params(p: SystemParams) -> None:
     for name in ("gamma41", "gamma42", "gamma23", "gamma13", "lambda_pump"):
         if not getattr(p, name) >= 0:
             raise ParameterError(f"{name} must be >= 0", code="NEGATIVE_RATE")
-
-
-def validate_params(p: SystemParams) -> list[RegimeFlag]:
-    """Validate ``p`` and report which analytic regimes hold.
-
-    WEAK_PROBE: the probe is weak enough for first-order response,
-    g_p <= 1e-2 * gamma23.
-
-    LIMIT_REGIME: resonant drive/coupling, no 1->3 decay, g41 << g42 and
-    small probe detuning, where the narrow-feature limit form applies.
-
-    PUMP_REGIME: pump strength between the gain-inversion scale
-    (g41/g42)^2 * gamma23 and the fast decay rates, where the
-    incoherent-pump closed form applies.  The margin is the smaller of
-    the two ratios bounding the window.
-
-    Pure function: identical input yields identical flags.
-    """
-    check_params(p)
-    flags: list[RegimeFlag] = []
-
-    if p.g_p > 0 and p.g_p <= WEAK_PROBE_FACTOR * p.gamma23:
-        flags.append(
-            RegimeFlag(Regime.WEAK_PROBE, WEAK_PROBE_FACTOR * p.gamma23 / p.g_p)
-        )
-
-    if (
-        p.delta41 == 0.0
-        and p.delta42 == 0.0
-        and p.gamma13 == 0.0
-        and p.g42 > 0
-        and p.g41 <= LIMIT_RABI_RATIO * p.g42
-        and abs(p.delta_p) <= LIMIT_DETUNING
-    ):
-        margin = LIMIT_RABI_RATIO * p.g42 / p.g41 if p.g41 > 0 else math.inf
-        if p.delta_p != 0.0:
-            margin = min(margin, LIMIT_DETUNING / abs(p.delta_p))
-        flags.append(RegimeFlag(Regime.LIMIT_REGIME, margin))
-
-    if p.lambda_pump > 0 and p.g42 > 0:
-        lambda0 = (p.g41 / p.g42) ** 2 * p.gamma23
-        fast = min(p.gamma41, p.gamma42)
-        if p.lambda_pump > lambda0 and p.lambda_pump < fast:
-            low = p.lambda_pump / lambda0 if lambda0 > 0 else math.inf
-            flags.append(
-                RegimeFlag(Regime.PUMP_REGIME, min(low, fast / p.lambda_pump))
-            )
-
-    return flags
 
 
 def damping_table(p: SystemParams) -> DampingTable:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -108,12 +109,15 @@ def chi_at(
     return susceptibility(probe_coherence(p, method), m, p.g_p)
 
 
+@lru_cache(maxsize=1)
 def _chi_and_derivative(
     p: SystemParams, m: MediumParams, wrt: str
 ) -> tuple[complex, complex]:
     """Numeric chi at ``p`` and its exact derivative with respect to the
     ``SystemParams`` field ``wrt``: one steady state and one derivative
-    solve with the same matrix, since chi is linear in rho23."""
+    solve with the same matrix, since chi is linear in rho23.  The last
+    result is kept, so the zero finder's verification at delta0 also
+    serves the slope and group index there."""
     dm = steady_state(p)
     drho = steady_state_derivative(p, dm, wrt)
     return (
@@ -334,11 +338,15 @@ def find_absorption_zero(
     chi'' must carry strictly opposite signs at the two bracket ends
     (|chi''| <= ``SIGN_FLOOR`` counts as no sign); safeguarded Newton on
     the exact detuning derivative of the steady state then refines the
-    crossing to relative tolerance 1e-6, and one more solve verifies
-    |chi''| <= 1e-8 there.  Raises ``NO_SIGN_CHANGE`` when the ends share
-    a sign: when chi'' is single-signed over the bracket (pump below the
-    onset of transparency), and also when the bracket holds an even
-    number of crossings, e.g. one straddling the whole gain core.
+    crossing to relative tolerance 1e-6, and one more steady state verifies
+    |chi''| <= 1e-8 there.  That verification also solves the detuning
+    derivative at the root, under the derivative's own gates (a refused
+    derivative refuses the root), so that ``dispersion_slope`` and
+    ``group_index`` at the returned root solve nothing more.  Raises
+    ``NO_SIGN_CHANGE`` when the ends share a sign: when chi'' is
+    single-signed over the bracket (pump below the onset of
+    transparency), and also when the bracket holds an even number of
+    crossings, e.g. one straddling the whole gain core.
     Uses the numeric route only: the crossing arises from the interplay of
     the gain feature with the Autler-Townes background, which no single
     closed form captures.
@@ -350,7 +358,8 @@ def find_absorption_zero(
         p, m, "delta_p", lo, hi, ZERO_REL_TOL,
         "absorption does not change sign between the bracket ends",
     )
-    if not abs(chi_at(p, m, root).imag) <= ZERO_IM_TOL:
+    chi, _ = _chi_and_derivative(replace(p, delta_p=root), m, "delta_p")
+    if not abs(chi.imag) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
         )

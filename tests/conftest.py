@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from darkres import MediumParams, SystemParams
+from darkres import MediumParams, SystemParams, observables
 
 # bench/oracle.py is the one superoperator reference of the repository;
 # the tests import it as ``oracle`` whether or not bench/ is collected.
@@ -23,6 +23,13 @@ settings.load_profile("deterministic")
 
 # Mercury-like decay ratios used throughout: gamma41 is the reference rate.
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
+
+
+@pytest.fixture(autouse=True)
+def fresh_evaluation_cache():
+    """Start every test without the last numeric chi evaluation, so no
+    test's solve counts or values depend on an earlier test."""
+    observables._chi_and_derivative.cache_clear()
 
 
 @pytest.fixture

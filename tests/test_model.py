@@ -4,14 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darkres import (
-    MediumParams,
-    ParameterError,
-    Regime,
-    SystemParams,
-    damping_table,
-    validate_params,
-)
+from darkres import MediumParams, ParameterError, SystemParams, damping_table
+from darkres.model import check_params
 
 
 class TestDampingTable:
@@ -62,37 +56,29 @@ class TestDampingTable:
 
 
 class TestValidateParams:
-    def test_spike_config_flags(self, spike_config):
-        flags = {f.regime for f in validate_params(spike_config)}
-        assert flags == {Regime.WEAK_PROBE, Regime.LIMIT_REGIME}
-
-    def test_pumped_config_reports_pump_margin(self, pumped_config):
-        flags = {f.regime: f.margin for f in validate_params(pumped_config)}
-        assert Regime.PUMP_REGIME in flags
-        # pump rate is 4e-5 against an inversion scale of 1.4e-5
-        assert flags[Regime.PUMP_REGIME] == pytest.approx(4e-5 / 1.4e-5, rel=1e-12)
-        assert round(flags[Regime.PUMP_REGIME], 1) == 2.9
+    """Invalid input is rejected by ``check_params`` and
+    ``MediumParams.check``, each with its named violation."""
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ParameterError) as exc:
-            validate_params(SystemParams(g41=-1.0))
+            check_params(SystemParams(g41=-1.0))
         assert exc.value.code == "NEGATIVE_RABI"
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ParameterError) as exc:
-            validate_params(SystemParams(gamma23=-0.1))
+            check_params(SystemParams(gamma23=-0.1))
         assert exc.value.code == "NEGATIVE_RATE"
 
     def test_nonfinite_detuning_rejected(self):
         with pytest.raises(ParameterError) as exc:
-            validate_params(SystemParams(delta_p=math.nan))
+            check_params(SystemParams(delta_p=math.nan))
         assert exc.value.code == "NONFINITE_DETUNING"
 
     @pytest.mark.parametrize("name", ["g41", "g42", "g_p", "gamma41", "gamma13", "lambda_pump"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_field_rejected(self, name, value):
         with pytest.raises(ParameterError) as exc:
-            validate_params(SystemParams(**{name: value}))
+            check_params(SystemParams(**{name: value}))
         assert exc.value.code == "NONFINITE_PARAMETER"
 
     @pytest.mark.parametrize(
@@ -102,18 +88,3 @@ class TestValidateParams:
     def test_nonfinite_medium_rejected(self, name, value):
         with pytest.raises(ParameterError):
             replace(MediumParams(), **{name: value}).check()
-
-    def test_pure(self, pumped_config):
-        assert validate_params(pumped_config) == validate_params(pumped_config)
-
-    def test_strong_probe_drops_weak_flag(self, spike_config):
-        flags = {f.regime for f in validate_params(replace(spike_config, g_p=0.1))}
-        assert Regime.WEAK_PROBE not in flags
-
-    def test_detuned_drive_drops_limit_flag(self, spike_config):
-        flags = {f.regime for f in validate_params(replace(spike_config, delta42=0.5))}
-        assert Regime.LIMIT_REGIME not in flags
-
-    def test_pump_beyond_fast_decay_drops_pump_flag(self, pumped_config):
-        flags = {f.regime for f in validate_params(replace(pumped_config, lambda_pump=2.0))}
-        assert Regime.PUMP_REGIME not in flags

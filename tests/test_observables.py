@@ -227,6 +227,46 @@ class TestGroupIndex:
                 assert group_index(pumped_config, m, d, method) == want
 
 
+def bits(z):
+    """Exact bit pattern of a complex or float value, signed zeros apart."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestSharedEvaluation:
+    # the zero finder verifies its root with the steady state and detuning
+    # derivative that the slope and group index at that root then reuse
+
+    def test_slope_and_group_index_at_delta0_solve_nothing(
+        self, pumped_config, mercury_medium, count_calls
+    ):
+        m = replace(mercury_medium, gamma_si=1e7)
+        z = find_absorption_zero_auto(pumped_config, m)
+        states = count_calls("steady_state", observables)
+        derivatives = count_calls("steady_state_derivative", observables)
+        slope = dispersion_slope(pumped_config, m, z)
+        n_g = group_index(pumped_config, m, z)
+        assert (len(states), len(derivatives)) == (0, 0)
+        observables._chi_and_derivative.cache_clear()
+        assert bits(dispersion_slope(pumped_config, m, z)[0]) == bits(slope[0])
+        observables._chi_and_derivative.cache_clear()
+        assert bits(group_index(pumped_config, m, z)) == bits(n_g)
+        assert (len(states), len(derivatives)) == (2, 2)
+
+    @pytest.mark.parametrize("field", ["delta_p", "delta41", "delta42", "gamma13", "lambda_pump"])
+    def test_signed_zero_keys_give_identical_values(self, pumped_config, mercury_medium, field):
+        # 0.0 == -0.0, so the two keys share a cache entry; their values
+        # must then agree bit for bit
+        plus, minus = (replace(pumped_config, **{field: z}) for z in (0.0, -0.0))
+        assert plus == minus
+        values = []
+        for p in (plus, minus):
+            observables._chi_and_derivative.cache_clear()
+            chi, dchi = observables._chi_and_derivative(p, mercury_medium, "delta_p")
+            values.append((bits(chi), bits(dchi)))
+        assert values[0] == values[1]
+
+
 class TestAbsorptionZero:
     def test_pumped_crossing_value(self, pumped_config, mercury_medium):
         z = find_absorption_zero(pumped_config, mercury_medium, (1e-5, 1e-3))

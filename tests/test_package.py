@@ -8,8 +8,7 @@ import darkres
 # unnoticed.
 PUBLIC = [
     "__version__",
-    "SystemParams", "MediumParams", "DampingTable", "Regime", "RegimeFlag",
-    "validate_params", "damping_table",
+    "SystemParams", "MediumParams", "DampingTable", "damping_table",
     "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
