@@ -17,7 +17,7 @@ from .analytic import (
     spike_half_width,
 )
 from .errors import ConfigError, NumericError, ParameterError, SimulationError
-from .model import DampingTable, MediumParams, SystemParams, damping_table
+from .model import MediumParams, SystemParams
 from .observables import (
     Method,
     auto_zero_bracket,
@@ -52,7 +52,7 @@ from .sweep import (
 
 __all__ = [
     "__version__",
-    "SystemParams", "MediumParams", "DampingTable", "damping_table",
+    "SystemParams", "MediumParams",
     "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",

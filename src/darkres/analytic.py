@@ -4,7 +4,8 @@ These expressions are leading-order expansions of the steady state in the
 probe Rabi frequency and serve as independent oracles for the numeric
 solver: the full weak-probe form everywhere, a narrow-feature limit form
 around zero probe detuning, and an incoherent-pump form describing the
-gain spike.  None of them enforce their validity conditions, so they can
+gain spike.  Each rejects invalid input (``check_params``) before
+anything else, but none enforces its validity conditions, so they can
 also be plotted outside their regimes for comparison purposes.  Each form
 is rational in the probe detuning and returns the coherence together with
 its exact detuning derivative; they are reached through the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .model import SystemParams, damping_table
+from .model import SystemParams, check_params, coherence_damping
 
 _DENOMINATOR_FLOOR = 1e-30
 
@@ -58,10 +59,10 @@ def _weak_probe(p: SystemParams) -> tuple[complex, complex]:
     coupling field) and the direct pathway is what carves the narrow
     feature into the Autler-Townes profile.
     """
-    d = damping_table(p)
-    c13 = p.delta_p - p.delta41 + p.delta42 + 1j * d.big_gamma(1, 3)
-    c34 = p.delta_p + p.delta42 + 1j * d.big_gamma(3, 4)
-    c23 = p.delta_p + 1j * d.big_gamma(2, 3)
+    check_params(p)
+    c13 = p.delta_p - p.delta41 + p.delta42 + 1j * coherence_damping(p, 1, 3)
+    c34 = p.delta_p + p.delta42 + 1j * coherence_damping(p, 3, 4)
+    c23 = p.delta_p + 1j * coherence_damping(p, 2, 3)
     return _quotient(
         -p.g_p * (p.g41**2 - c13 * c34),
         p.g_p * (c13 + c34),
@@ -79,9 +80,9 @@ def _limit(p: SystemParams) -> tuple[complex, complex]:
     Its imaginary part is strictly positive (a pure absorption spike);
     the spike half width is (g41/g42)^2 * gamma23.
     """
-    d = damping_table(p)
-    g23 = d.big_gamma(2, 3)
-    g34 = d.big_gamma(3, 4)
+    check_params(p)
+    g23 = coherence_damping(p, 2, 3)
+    g34 = coherence_damping(p, 3, 4)
     return _quotient(
         -p.g_p * (p.g41**2 - 1j * p.delta_p * g34),
         1j * p.g_p * g34,
@@ -100,14 +101,14 @@ def _incoherent(p: SystemParams) -> tuple[complex, complex]:
     the probe detuning.  The form is pref / (delta_p + i*lambda), so the
     derivative is -rho / (delta_p + i*lambda).
     """
+    check_params(p)
     lorentz_den = p.delta_p**2 + p.lambda_pump**2
     if lorentz_den < _DENOMINATOR_FLOOR:
         raise NumericError(
             "pump form undefined at zero detuning and zero pump",
             code="DIVISION_DEGENERATE",
         )
-    d = damping_table(p)
-    den = p.g42**2 * p.gamma23 + 2 * p.lambda_pump * d.big_gamma(2, 4) * p.gamma42
+    den = p.g42**2 * p.gamma23 + 2 * p.lambda_pump * coherence_damping(p, 2, 4) * p.gamma42
     if abs(den) < _DENOMINATOR_FLOOR:
         raise NumericError(
             "pump-form prefactor denominator vanished", code="DIVISION_DEGENERATE"
@@ -118,7 +119,11 @@ def _incoherent(p: SystemParams) -> tuple[complex, complex]:
 
 
 def spike_half_width(p: SystemParams) -> float:
-    """Half width of the narrow absorption feature, (g41/g42)^2 * gamma23."""
+    """Half width of the narrow absorption feature, (g41/g42)^2 * gamma23.
+    Raises ``DIVISION_DEGENERATE`` when g42 is zero."""
+    check_params(p)
+    if p.g42 == 0.0:
+        raise NumericError("spike width undefined at zero g42", code="DIVISION_DEGENERATE")
     return (p.g41 / p.g42) ** 2 * p.gamma23
 
 
@@ -147,6 +152,7 @@ def dressed_states(g41: float, g42: float) -> DressedStates:
     2*g42.  A small g41 admixes |2> into the dark state, which is what
     couples it weakly to the probe and produces the narrow resonance.
     """
+    check_params(SystemParams(g41=g41, g42=g42))
     norm_sq = g41**2 + g42**2
     if norm_sq == 0.0:
         raise NumericError(

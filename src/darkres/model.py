@@ -80,24 +80,6 @@ class MediumParams:
             )
 
 
-@dataclass(frozen=True)
-class DampingTable:
-    """Total decay rate out of each state and the coherence damping rates.
-
-    gamma_total[i-1] is the full decay rate of state |i>;  the coherence
-    between |i> and |j> damps at the symmetric sum gamma_i + gamma_j.  The
-    incoherent pump is deliberately NOT folded in here: it enters the
-    equations of motion explicitly, and including it twice would
-    double-count.
-    """
-
-    gamma_total: tuple[float, float, float, float]
-
-    def big_gamma(self, i: int, j: int) -> float:
-        """Damping rate of the (i, j) coherence, one-based state labels."""
-        return self.gamma_total[i - 1] + self.gamma_total[j - 1]
-
-
 def check_params(p: SystemParams) -> None:
     """Reject structurally invalid parameters with a named violation.
 
@@ -116,13 +98,14 @@ def check_params(p: SystemParams) -> None:
             raise ParameterError(f"{name} must be >= 0", code="NEGATIVE_RATE")
 
 
-def damping_table(p: SystemParams) -> DampingTable:
-    """Per-state total decay rates and the coherence damping table.
+def coherence_damping(p: SystemParams, i: int, j: int) -> float:
+    """Damping rate of the (i, j) coherence, one-based state labels: the
+    symmetric sum Gamma_i + Gamma_j of the states' total decay rates.
 
     State |3> is the ground state and does not decay; |4> decays through
-    both of its channels.
+    both of its channels.  The incoherent pump is deliberately NOT folded
+    in here: it enters the equations of motion explicitly, and including
+    it twice would double-count.
     """
-    check_params(p)
-    return DampingTable(
-        gamma_total=(p.gamma13, p.gamma23, 0.0, p.gamma41 + p.gamma42)
-    )
+    total = (p.gamma13, p.gamma23, 0.0, p.gamma41 + p.gamma42)
+    return total[i - 1] + total[j - 1]

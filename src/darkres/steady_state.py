@@ -19,12 +19,12 @@ same matrix.  Every solve is gated by its normwise backward error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import NumericError
-from .model import PARAM_FIELDS, SystemParams, check_params, damping_table
+from .model import PARAM_FIELDS, SystemParams, check_params, coherence_damping
 
 # Pivot smaller than this fraction of its column's initial magnitude is
 # treated as a true singularity rather than conditioning noise.
@@ -114,10 +114,11 @@ def equations_of_motion(
     coherences involving those states (twice as fast for the 2-3 coherence,
     which connects two pumped states).
     """
+    check_params(p)
     g41, g42, gp = p.g41, p.g42, p.g_p
     d41, d42, dp = p.delta41, p.delta42, p.delta_p
     lam = p.lambda_pump
-    G = damping_table(p).big_gamma
+    G = partial(coherence_damping, p)
 
     return {
         (1, 1): {

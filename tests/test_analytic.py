@@ -8,6 +8,7 @@ from darkres import (
     MediumParams,
     Method,
     NumericError,
+    ParameterError,
     SystemParams,
     coupling_hamiltonian,
     dispersion_slope,
@@ -136,6 +137,25 @@ class TestFeatureScales:
             4 * spike_half_width(spike_config)
         )
 
+    def test_degenerate_without_drive(self):
+        with pytest.raises(NumericError) as exc:
+            spike_half_width(SystemParams(g41=0.04))
+        assert exc.value.code == "DIVISION_DEGENERATE"
+
+    @pytest.mark.parametrize(
+        "fields, code",
+        [
+            (dict(g41=math.nan), "NONFINITE_PARAMETER"),
+            (dict(g41=0.04, g42=0.0, gamma23=-0.14), "NEGATIVE_RATE"),
+            (dict(g42=-4.0), "NEGATIVE_RABI"),
+        ],
+        ids=["g41=nan", "gamma23<0", "g42<0"],
+    )
+    def test_invalid_input_rejected_first(self, spike_config, fields, code):
+        with pytest.raises(ParameterError) as exc:
+            spike_half_width(replace(spike_config, **fields))
+        assert exc.value.code == code
+
 
 class TestAnalyticGroupIndex:
     """n_g - 1 by the pump form on the pumped config (negative means
@@ -204,6 +224,21 @@ class TestDressedStates:
         with pytest.raises(NumericError) as exc:
             dressed_states(0.0, 0.0)
         assert exc.value.code == "DEGENERATE"
+
+    @pytest.mark.parametrize(
+        "g41, g42, code",
+        [
+            (math.nan, 4.0, "NONFINITE_PARAMETER"),
+            (math.inf, 4.0, "NONFINITE_PARAMETER"),
+            (0.04, -math.inf, "NONFINITE_PARAMETER"),
+            (0.04, -4.0, "NEGATIVE_RABI"),
+            (-0.04, 0.0, "NEGATIVE_RABI"),
+        ],
+    )
+    def test_invalid_couplings_rejected(self, g41, g42, code):
+        with pytest.raises(ParameterError) as exc:
+            dressed_states(g41, g42)
+        assert exc.value.code == code
 
 
 def test_pump_form_matches_weak_probe_form_at_vanishing_pump(spike_config):

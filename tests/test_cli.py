@@ -79,13 +79,29 @@ class TestExitCodes:
         assert code == 2
         assert "PARSE_ERROR" in err
 
-    @pytest.mark.parametrize("setting", ["gamma41=nan", "g42=inf"])
-    def test_nonfinite_parameter_is_parameter_error(self, spike_file, capsys, setting):
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            pytest.param("spectrum", "gamma41=nan", id="gamma41=nan"),
+            pytest.param("spectrum", "g42=inf", id="g42=inf"),
+            ("dressed", "g41=nan"),
+            ("dressed", "g41=inf"),
+        ],
+    )
+    def test_nonfinite_parameter_is_parameter_error(self, spike_file, capsys, command, setting):
         code, _, err = run_cli(
-            ["spectrum", "--config", str(spike_file), "--set", setting], capsys
+            [command, "--config", str(spike_file), "--set", setting], capsys
         )
         assert code == 2
         assert "NONFINITE_PARAMETER" in err
+
+    def test_negative_rabi_is_parameter_error(self, spike_file, capsys):
+        code, out, err = run_cli(
+            ["dressed", "--config", str(spike_file), "--set", "g42=-4"], capsys
+        )
+        assert code == 2
+        assert "NEGATIVE_RABI" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "command, settings",

@@ -4,37 +4,39 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darkres import MediumParams, ParameterError, SystemParams, damping_table
-from darkres.model import check_params
+from darkres import MediumParams, ParameterError, SystemParams
+from darkres.model import check_params, coherence_damping
+
+PAIRS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
 
 
 class TestDampingTable:
+    """``coherence_damping(p, i, j)`` is Gamma_i + Gamma_j; state |3> does
+    not decay, so Gamma(i, 3) reads back the per-state total Gamma_i."""
+
     def test_mercury_ratios(self, undriven_coupling):
-        d = damping_table(undriven_coupling)
-        assert d.gamma_total == (0.01, 0.14, 0.0, 1.79)
-        assert d.big_gamma(2, 3) == pytest.approx(0.14)
-        assert d.big_gamma(3, 4) == pytest.approx(1.79)
-        assert d.big_gamma(2, 4) == pytest.approx(1.93)
-        assert d.big_gamma(1, 3) == pytest.approx(0.01)
-        assert d.big_gamma(1, 4) == pytest.approx(1.80)
-        assert d.big_gamma(1, 2) == pytest.approx(0.15)
+        p = undriven_coupling
+        assert tuple(coherence_damping(p, i, 3) for i in range(1, 5)) == (0.01, 0.14, 0.0, 1.79)
+        assert coherence_damping(p, 2, 3) == pytest.approx(0.14)
+        assert coherence_damping(p, 3, 4) == pytest.approx(1.79)
+        assert coherence_damping(p, 2, 4) == pytest.approx(1.93)
+        assert coherence_damping(p, 1, 3) == pytest.approx(0.01)
+        assert coherence_damping(p, 1, 4) == pytest.approx(1.80)
+        assert coherence_damping(p, 1, 2) == pytest.approx(0.15)
 
     def test_all_rates_zero(self):
-        d = damping_table(SystemParams())
-        for i in range(1, 5):
-            for j in range(1, 5):
-                assert d.big_gamma(i, j) == 0.0
+        for i, j in PAIRS:
+            assert coherence_damping(SystemParams(), i, j) == 0.0
 
     def test_no_ground_decay_case(self, spike_config):
-        d = damping_table(spike_config)
-        assert d.big_gamma(1, 3) == 0.0
-        assert d.big_gamma(1, 2) == pytest.approx(0.14)
+        assert coherence_damping(spike_config, 1, 3) == 0.0
+        assert coherence_damping(spike_config, 1, 2) == pytest.approx(0.14)
 
     def test_symmetric(self, undriven_coupling):
-        d = damping_table(undriven_coupling)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                assert d.big_gamma(i, j) == d.big_gamma(j, i)
+        for i, j in PAIRS:
+            assert coherence_damping(undriven_coupling, i, j) == coherence_damping(
+                undriven_coupling, j, i
+            )
 
     def test_probe_coherence_damping_equals_its_decay_rate(self):
         # state |3> never decays, so the 2-3 coherence damps at gamma23
@@ -47,12 +49,12 @@ class TestDampingTable:
                 gamma23=rng.uniform(0, 1),
                 gamma13=rng.uniform(0, 0.1),
             )
-            assert damping_table(p).big_gamma(2, 3) == p.gamma23
+            assert coherence_damping(p, 2, 3) == p.gamma23
 
     def test_pump_not_folded_into_damping(self, pumped_config):
-        with_pump = damping_table(pumped_config)
-        without = damping_table(replace(pumped_config, lambda_pump=0.0))
-        assert with_pump == without
+        without = replace(pumped_config, lambda_pump=0.0)
+        for i, j in PAIRS:
+            assert coherence_damping(pumped_config, i, j) == coherence_damping(without, i, j)
 
 
 class TestValidateParams:

@@ -26,6 +26,7 @@ from darkres import (
     susceptibility,
 )
 from darkres import observables
+from darkres.model import PARAM_FIELDS, check_params
 import oracle
 
 
@@ -65,6 +66,29 @@ class TestSusceptibility:
             chi = chi_at(spike_config, mercury_medium, 1e-6, method)
             rho = probe_coherence(replace(spike_config, delta_p=1e-6), method)
             assert chi == susceptibility(rho, mercury_medium, spike_config.g_p)
+
+
+# Every invalid value of every field that chi_at does not set itself.
+INVALID_FIELDS = [
+    (name, value)
+    for name in PARAM_FIELDS
+    if name != "delta_p"
+    for value in (math.nan, math.inf, -1.0)
+    if not (name.startswith("delta") and value == -1.0)
+]
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("name, value", INVALID_FIELDS)
+def test_chi_at_checks_input_first(spike_config, mercury_medium, method, name, value):
+    # at delta_p = lambda = 0 the pump form's Lorentzian vanishes, so an
+    # input check after it would report DIVISION_DEGENERATE instead
+    p = replace(spike_config, **{name: value})
+    with pytest.raises(ParameterError) as want:
+        check_params(p)
+    with pytest.raises(ParameterError) as got:
+        chi_at(p, mercury_medium, 0.0, method)
+    assert got.value.code == want.value.code
 
 
 def delta_p_sweep(p, m, start, stop, points, method=Method.NUMERIC):

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import darkres
 
 # The public surface, in __all__ order.  A name added to or removed from
@@ -8,7 +10,7 @@ import darkres
 # unnoticed.
 PUBLIC = [
     "__version__",
-    "SystemParams", "MediumParams", "DampingTable", "damping_table",
+    "SystemParams", "MediumParams",
     "DensityMatrix", "assemble", "solve_linear",
     "steady_state", "steady_state_derivative", "residual",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
@@ -31,10 +33,18 @@ def test_public_surface_is_pinned():
     assert darkres.__all__ == PUBLIC
 
 
-def test_oracle_imports_nothing_from_the_program():
-    # tier-1 and the bench both check darkres against bench/oracle.py, so
-    # it must not reach darkres, directly or through another module
-    source = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+@pytest.mark.parametrize(
+    "path, allowed",
+    [
+        ("bench/oracle.py", {"__future__", "math", "numpy"}),
+        ("tests/exact_oracle.py", {"__future__", "fractions", "math", "numpy"}),
+    ],
+    ids=["bench-oracle", "exact-oracle"],
+)
+def test_oracle_imports_nothing_from_the_program(path, allowed):
+    # tier-1 and the bench check darkres against the oracles, so they
+    # must not reach darkres, directly or through another module
+    source = Path(__file__).resolve().parents[1] / path
     tree = ast.parse(source.read_text(encoding="utf-8"))
     roots = set()
     for node in ast.walk(tree):
@@ -43,4 +53,4 @@ def test_oracle_imports_nothing_from_the_program():
         elif isinstance(node, ast.ImportFrom):
             # a relative import keeps its leading dots, so it fails too
             roots.add("." * node.level + (node.module or "").split(".")[0])
-    assert roots <= {"__future__", "math", "numpy"}
+    assert roots <= allowed

@@ -9,14 +9,13 @@ from darkres import (
     NumericError,
     SystemParams,
     assemble,
-    damping_table,
     probe_coherence,
     residual,
     solve_linear,
     steady_state,
     steady_state_derivative,
 )
-from darkres.model import PARAM_FIELDS
+from darkres.model import PARAM_FIELDS, coherence_damping
 from darkres.steady_state import (
     RHS,
     DensityMatrix,
@@ -143,11 +142,10 @@ class TestAssemble:
             g41=0.3, g42=1.7, g_p=0.01, delta41=0.2, delta42=-0.4, delta_p=0.7,
             gamma41=1.0, gamma42=0.5, gamma23=0.2, gamma13=0.05, lambda_pump=0.03,
         )
-        d = damping_table(p)
         a = assemble(p)
         row, col = _index(1, 3), _index(1, 3)
         expected = -(
-            d.big_gamma(1, 3)
+            coherence_damping(p, 1, 3)
             + 1j * p.delta41
             - 1j * p.delta42
             - 1j * p.delta_p

@@ -518,6 +518,31 @@ class TestResolventRoute:
         assert (table.rows, table.failures) == (rows, failures)
 
     @pytest.mark.parametrize(
+        "fields, start, want_failures",
+        [
+            # rho_11 is conserved at g41 = gamma13 = 0, so g42 = 0 leaves a
+            # consistent singular system that the resolvent would solve
+            (dict(g41=0.0, gamma13=0.0, lambda_pump=4e-5), 0.0, [(0.0, "SINGULAR")]),
+            # without the gate the populations drift 1.1e-13 from per-point
+            (dict(g41=0.04, gamma13=0.0, delta42=1.0), 1.0, []),
+        ],
+        ids=["conserved-rho11", "detuned-spike"],
+    )
+    def test_ill_conditioned_eigenbasis_matches_per_point(self, fields, start, want_failures):
+        # cond_1(W) is 4e279 and 2e20 on these sweeps, far above
+        # RESOLVENT_COND_MAX; rows and failures must be the per-point ones
+        spec = resolvent_spec(dict(g_p=1e-4, **fields), Axis.G42, start, 10.0, points=51)
+        rows, failures = per_point(spec)
+        table = run_sweep(spec)
+        assert table.failures == failures == want_failures
+        assert len(table.rows) == len(rows)
+        scale = max(abs(complex(row[1], row[2])) for row in rows)
+        for got, want in zip(table.rows, rows):
+            assert got[0] == want[0]
+            assert abs(complex(got[1], got[2]) - complex(want[1], want[2])) <= 1e-14 * scale
+            assert max(abs(a - b) for a, b in zip(got[3:], want[3:])) <= 1e-14
+
+    @pytest.mark.parametrize(
         "gate, value",
         [
             # the resolvent's backward-error gate reads the shared BACKWARD_TOL
