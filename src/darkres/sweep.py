@@ -136,11 +136,11 @@ class SweepSpec:
             raise ConfigError("points must be >= 2", code="RANGE_ERROR")
         if self.points > MAX_POINTS:
             raise ConfigError(f"points must be <= {MAX_POINTS}", code="RANGE_ERROR")
-        if not self.start < self.stop:
-            raise ConfigError("start must be < stop", code="RANGE_ERROR")
         for key in ("start", "stop"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite", code="RANGE_ERROR")
+        if not self.start < self.stop:
+            raise ConfigError("start must be < stop", code="RANGE_ERROR")
         if self.spacing is Spacing.LOG and not self.start > 0:
             raise ConfigError("LOG spacing requires start > 0", code="RANGE_ERROR")
         # the grid increases from start, so its last point bounds every other
@@ -156,6 +156,8 @@ class SweepSpec:
             raise ConfigError(f"{self.axis.value} axis must be >= 0", code="RANGE_ERROR")
         if not self.outputs:
             raise ConfigError("outputs must not be empty", code="RANGE_ERROR")
+        if repeated := [o.value for k, o in enumerate(self.outputs) if o in self.outputs[:k]]:
+            raise ConfigError(f"output {repeated[0]} repeated", code="RANGE_ERROR")
         if Output.NG in self.outputs and not self.medium.gamma_si > 0:
             raise ConfigError(
                 "NG output requires gamma_SI > 0", code="RANGE_ERROR"

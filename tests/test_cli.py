@@ -119,6 +119,18 @@ class TestExitCodes:
         assert "RANGE_ERROR" in err
         assert out == ""
 
+    def test_nan_start_is_range_error(self, capsys):
+        code, out, err = run_cli(["spectrum", "--set", "start=nan"], capsys)
+        assert code == 2
+        assert "start must be finite" in err
+        assert out == ""
+
+    def test_repeated_output_is_range_error(self, capsys):
+        code, out, err = run_cli(["sweep", "--set", "outputs=CHI_RE,CHI_RE"], capsys)
+        assert code == 2
+        assert "RANGE_ERROR" in err and "CHI_RE" in err
+        assert out == ""
+
     def test_overflowing_linear_span_is_range_error(self, capsys):
         # both ends finite; stop - start is inf, or the LOG grid's last
         # point overflows

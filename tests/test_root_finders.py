@@ -39,16 +39,22 @@ SCAN_POINTS = 200
 
 # --- reference: 201-point sign scan, then bisection of the first change ---
 
-def _first_sign_change(xs, values):
-    signs = np.where(np.abs(values) <= SIGN_FLOOR, 0.0, np.sign(values))
-    for k in range(len(xs) - 1):
-        if signs[k] * signs[k + 1] < 0:
-            return float(xs[k]), float(xs[k + 1])
+def _first_sign_change(f, xs):
+    """The first adjacent pair of ``xs`` over which ``f`` changes sign
+    strictly, evaluating left to right and stopping there; NaN, or a value
+    within ``SIGN_FLOOR`` of zero, carries no sign."""
+    prev = 0.0
+    for k, x in enumerate(xs):
+        value = f(x)
+        sign = 0.0 if abs(value) <= SIGN_FLOOR else np.sign(value)
+        if prev * sign < 0:
+            return float(xs[k - 1]), float(x)
+        prev = sign
     return None
 
 
 def _scan_and_bisect(f, xs, rel_tol):
-    pair = _first_sign_change(xs, np.array([f(x) for x in xs]))
+    pair = _first_sign_change(f, xs)
     if pair is None:
         raise NumericError("no sign change", code="NO_SIGN_CHANGE")
     a, b = pair

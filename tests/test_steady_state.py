@@ -49,31 +49,6 @@ def random_valid_params(rng):
     )
 
 
-def eliminate_twice(a, b):
-    """Reference: eliminate the full system for the solve and again for
-    its refinement step, as solve_linear did before it kept its factors."""
-    n = a.shape[0]
-
-    def eliminate(rhs):
-        u, r = a.copy(), rhs.copy()
-        for k in range(n):
-            piv = k + int(np.argmax(np.abs(u[k:, k])))
-            if piv != k:
-                u[[k, piv]] = u[[piv, k]]
-                r[[k, piv]] = r[[piv, k]]
-            factors = u[k + 1 :, k] / u[k, k]
-            u[k + 1 :, k:] -= factors[:, None] * u[k, k:]
-            r[k + 1 :] -= factors * r[k]
-        x = np.zeros(n, dtype=complex)
-        for k in range(n - 1, -1, -1):
-            x[k] = (r[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
-        return x
-
-    x = eliminate(b)
-    x += eliminate(b - a @ x)
-    return x
-
-
 def walk_residual(p, dm):
     """Reference: the residual as a walk over the equations of motion, the
     forward equations and the closure of the trace, without the matrix."""
@@ -126,14 +101,18 @@ class TestSolveLinear:
             want = np.linalg.solve(a, b)
             assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_reused_elimination_bit_identical_to_reference(self):
-        """Refinement from the kept factors does the same arithmetic as
-        eliminating again: equal results, not merely close ones."""
+    def test_backward_error_inside_gate_margin(self):
+        """One elimination, no refinement: the normwise backward error of
+        each steady-state solve stays 10x inside BACKWARD_TOL, so a solver
+        change that eats the gate's margin fails here before the gate
+        starts refusing states."""
         rng = np.random.default_rng(5)
         for _ in range(20):
-            p = random_valid_params(rng)
-            a = assemble(p)
-            assert np.array_equal(solve_linear(a, RHS), eliminate_twice(a, RHS))
+            a = assemble(random_valid_params(rng))
+            x = solve_linear(a, RHS)
+            r = np.max(np.abs(a @ x - RHS))
+            bound = np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(x)) + 1.0
+            assert r <= 1e-15 * bound
 
 
 class TestAssemble:

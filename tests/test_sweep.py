@@ -88,18 +88,28 @@ class TestValidation:
             (Axis.LAMBDA, 0.0, math.inf, Spacing.LINEAR),
             (Axis.LAMBDA, 1e-6, math.inf, Spacing.LOG),
             (Axis.DELTA_P, -math.inf, 0.0, Spacing.LINEAR),
+            (Axis.DELTA_P, math.nan, 1.0, Spacing.LINEAR),
+            (Axis.DELTA_P, -1.0, math.nan, Spacing.LINEAR),
         ],
     )
     def test_nonfinite_ends_rejected(self, spectrum_spec, axis, start, stop, spacing):
-        # grid() would give nan and inf axis values: start + 0 * inf is nan
+        # grid() would give nan and inf axis values: start + 0 * inf is nan;
+        # NaN also fails start < stop, so finiteness is checked first
         spec = replace(
             spectrum_spec, axis=axis, start=start, stop=stop, points=3, spacing=spacing
         )
         with pytest.raises(ConfigError) as exc:
             spec.validate()
         assert exc.value.code == "RANGE_ERROR"
-        key = "start" if math.isinf(start) else "stop"
+        key = "stop" if math.isfinite(start) else "start"
         assert str(exc.value) == f"{key} must be finite"
+
+    def test_repeated_output_rejected(self, spectrum_spec):
+        spec = replace(spectrum_spec, outputs=(Output.CHI_RE, Output.CHI_IM, Output.CHI_RE))
+        with pytest.raises(ConfigError) as exc:
+            spec.validate()
+        assert exc.value.code == "RANGE_ERROR"
+        assert str(exc.value) == "output CHI_RE repeated"
 
     @pytest.mark.parametrize(
         "start, stop, spacing",
