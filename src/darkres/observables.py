@@ -8,7 +8,8 @@ the group index, the detunings of vanishing absorption, and the pump
 strength at which the narrow absorption feature turns into gain.  Every
 derivative is exact: on the numeric route one more solve with the matrix
 of the steady state it differentiates, for a closed form from its
-rational dependence on the probe detuning.
+rational dependence on the probe detuning.  The root finders' Newton
+iterates come from the resolvent on one end's steady state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import _basis, _index, assemble, steady_state, steady_state_derivative
+from .steady_state import _basis, _index, _Resolvent, assemble, steady_state
+from .steady_state import steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -179,12 +181,6 @@ def group_index(
     return 1.0 + 2 * math.pi * chi.real + 2 * math.pi * omega_p * dchi.real / m.gamma_si
 
 
-def _opposite_signs(fa: float, fb: float) -> bool:
-    """True when both values carry a usable sign (above ``SIGN_FLOOR``)
-    and the signs are strictly opposite."""
-    return abs(fa) > SIGN_FLOOR and abs(fb) > SIGN_FLOOR and fa * fb < 0
-
-
 def _bracketed_newton(
     f: Callable[[float], tuple[float, float]],
     a: float,
@@ -235,16 +231,35 @@ def _im_chi_crossing(
     the numeric chi'' changes sign: both ends must carry a sign, else
     ``NO_SIGN_CHANGE`` saying ``no_sign_change``; then safeguarded Newton
     on the exact derivative along ``field``, to relative tolerance ``tol``
-    in x, or in u = ln(x) when ``in_log``."""
+    in x, or in u = ln(x) when ``in_log``.  Iterates come from the resolvent
+    on the state at lo, used only if its chi at hi agrees with ``chi_at``;
+    one it refuses is solved directly, as is each when it is not used."""
+    p_lo = replace(p, **{field: lo})
+    dm = steady_state(p_lo)
+    chi_lo = susceptibility(dm.element(2, 3), m, p.g_p)
+    chi_hi = chi_at(replace(p, **{field: hi}), m)
+    f_lo, f_hi = chi_lo.imag, chi_hi.imag
+    # each end must carry a sign (above SIGN_FLOOR), and the signs differ
+    if not (abs(f_lo) > SIGN_FLOOR and abs(f_hi) > SIGN_FLOOR and f_lo * f_hi < 0):
+        raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
+    try:
+        resolvent = _Resolvent(p_lo, field, dm)
+    except np.linalg.LinAlgError:
+        resolvent = None
+    else:
+        x, ok = resolvent.states(np.array([hi]))
+        check = susceptibility(complex(x[0, _index(2, 3)]), m, p.g_p)
+        if not (ok[0] and resolvent.agrees(check, chi_hi, max(abs(chi_lo), abs(chi_hi)))):
+            resolvent = None
 
     def im_chi_and_slope(x: float) -> tuple[float, float]:
-        chi, dchi = _chi_and_derivative(replace(p, **{field: x}), m, field)
-        return chi.imag, dchi.imag
+        got = resolvent.state_and_derivative(x) if resolvent is not None else None
+        if got is None:
+            chi, dchi = _chi_and_derivative(replace(p, **{field: x}), m, field)
+            return chi.imag, dchi.imag
+        rho, drho = (complex(v[_index(2, 3)]) for v in got)
+        return susceptibility(rho, m, p.g_p).imag, susceptibility(drho, m, p.g_p).imag
 
-    f_lo = chi_at(replace(p, **{field: lo}), m).imag
-    f_hi = chi_at(replace(p, **{field: hi}), m).imag
-    if not _opposite_signs(f_lo, f_hi):
-        raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
     if not in_log:
         return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
 
@@ -290,10 +305,11 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     adj(M) r, where t = tr M, e2 = (t^2 - tr M^2) / 2 and adj(M) = M^2 -
     t M + e2 I.  Im(N / D) vanishes at the real roots of the real
     polynomial Im(N conj(D)) in delta, of degree <= 5.  One gated solve,
-    for x0.  Raises ``NO_SIGN_CHANGE`` when no real root lies on the side.
+    for x0, kept for the other side.  Raises ``NO_SIGN_CHANGE`` when no
+    real root lies on the side.
     """
     p0 = replace(p, g_p=0.0, delta_p=0.0)
-    x0 = steady_state(p0).rho.reshape(16)
+    x0 = _probe_free_state(p0)
     r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ x0)[_PROBE_BLOCK]
     m = assemble(p0)[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
     m2 = m @ m
@@ -310,6 +326,12 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     if not real:
         raise NumericError("no first-order crossing on this side", code="NO_SIGN_CHANGE")
     return float(min(real, key=abs))
+
+
+@lru_cache(maxsize=1)
+def _probe_free_state(p0: SystemParams) -> np.ndarray:
+    """The steady state of ``p0`` (g_p = 0) as a 16-vector, kept."""
+    return steady_state(p0).rho.reshape(16)
 
 
 def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:

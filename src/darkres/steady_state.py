@@ -39,6 +39,10 @@ POPULATION_TOL = 1e-8
 # ~5e-17 and derivative solves ~2e-16 over thousands of random and pumped
 # configurations, so the bound leaves two orders of magnitude of margin.
 BACKWARD_TOL = 1e-14
+# Gates of the resolvent (_Resolvent) beyond the per-state ones: the condition
+# of its eigenbasis, and its agreement with a direct solve, relative to |chi|.
+RESOLVENT_COND_MAX = 1e8
+RESOLVENT_AGREEMENT_RTOL = 1e-12
 
 _COHERENCES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -310,34 +314,101 @@ def steady_state_derivative(
     A(theta) x = b with A affine in theta and b fixed, so A dx = -B x with
     B = dA/dtheta the field's slice of the basis tensor: one more solve
     with the matrix the steady state solve has already accepted.  Raises
-    ``SINGULAR`` when that matrix is singular, and ``BAD_SOLUTION`` when
-    the solve's backward error exceeds ``BACKWARD_TOL`` or d(rho) is not
-    Hermitian or not traceless to ``HERMITICITY_TOL`` / ``TRACE_TOL``
-    relative to its largest entry.
-    """
+    ``SINGULAR`` when that matrix is singular, and ``BAD_SOLUTION`` from
+    :func:`_check_derivative`."""
     if wrt not in PARAM_FIELDS:
         raise ValueError(f"unknown parameter {wrt!r}")
     a = assemble(p)
     rhs = -(_basis()[1][PARAM_FIELDS.index(wrt)] @ dm.rho.reshape(16))
     try:
-        drho = np.linalg.solve(a, rhs).reshape(4, 4)
+        dx = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"derivative system singular: {exc}", code="SINGULAR") from exc
-    _check_backward(a, drho.reshape(16), rhs, "derivative")
-    scale = np.max(np.abs(drho))
-    defect = np.max(np.abs(drho - drho.conj().T))
+    _check_derivative(a, dx, rhs)
+    return dx.reshape(4, 4)
+
+
+def _check_derivative(a: np.ndarray, dx: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise ``BAD_SOLUTION`` unless ``a dx = rhs`` passes ``_check_backward``
+    and d(rho) is Hermitian and traceless relative to its largest entry."""
+    _check_backward(a, dx, rhs, "derivative")
+    drho = dx.reshape(4, 4)
+    scale = np.abs(dx).max()
+    defect = np.abs(drho - drho.conj().T).max()
     if not defect <= HERMITICITY_TOL * scale:
         raise NumericError(
             f"derivative not Hermitian (defect {defect:.3e} of {scale:.3e})",
             code="BAD_SOLUTION",
         )
-    drift = abs(np.trace(drho))
+    drift = abs(drho.trace())
     if not drift <= TRACE_TOL * scale:
         raise NumericError(
             f"derivative trace {drift:.3e} not zero (scale {scale:.3e})",
             code="BAD_SOLUTION",
         )
-    return drho
+
+
+class _Resolvent:
+    """Steady states along the field ``field`` of ``p`` from its accepted
+    state ``dm``: A(s) = A0 + t B with t = s - s0, and A0^-1 B = W diag(mu)
+    W^-1 give x(s) = W diag(1 / (1 + t mu)) W^-1 x0 (Golub & Van Loan, 7.7).
+    Raises ``LinAlgError`` when A0 or W is singular or cond_1(W) exceeds
+    ``RESOLVENT_COND_MAX``, where no per-state gate sees the lost accuracy."""
+
+    def __init__(self, p: SystemParams, field: str, dm: DensityMatrix) -> None:
+        self.s0, self.a0 = getattr(p, field), assemble(p)
+        self.b = _basis()[1][PARAM_FIELDS.index(field)]
+        self.a0_inv = np.linalg.inv(self.a0)
+        self.mu, self.w = np.linalg.eig(self.a0_inv @ self.b)
+        self.w_inv = np.linalg.inv(self.w)
+        cond = np.max(np.sum(np.abs(self.w), axis=0)) * np.max(np.sum(np.abs(self.w_inv), axis=0))
+        if not cond <= RESOLVENT_COND_MAX:
+            raise np.linalg.LinAlgError(f"eigenbasis condition {cond:.3e} too large")
+        self.coeffs = self.w_inv @ dm.rho.reshape(16)
+        self.norm_a0 = np.max(np.sum(np.abs(self.a0), axis=1))
+        self.norm_b = np.max(np.sum(np.abs(self.b), axis=1))
+
+    def _apply(self, v: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """A(s)^-1 v for each row of ``v``, with den = 1 + t mu."""
+        return ((v @ self.a0_inv.T) @ self.w_inv.T / den) @ self.w.T
+
+    def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The states at the axis values ``s`` (rows), refined once, and the
+        mask of those that pass ``DensityMatrix.validate``'s checks and a
+        backward error <= ``BACKWARD_TOL`` with ||A(s)|| <= ||A0|| + |t| ||B||."""
+        t = (s - self.s0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = 1.0 + t * self.mu
+            x = (self.coeffs / den) @ self.w.T
+            r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
+            x += self._apply(r, den)
+            r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
+            bound = (self.norm_a0 + np.abs(t[:, 0]) * self.norm_b) * np.abs(x).max(axis=1) + 1.0
+            ok = (np.abs(r).max(axis=1) <= BACKWARD_TOL * bound) & _valid_states(x)
+        return x, ok
+
+    def state_and_derivative(self, s: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The state at ``s`` and its exact derivative along the field, from
+        A(s) dx = -B x with one refinement step, or None when the state or
+        the derivative (by :func:`_check_derivative`) is refused."""
+        x, ok = self.states(np.array([s]))
+        if not ok[0]:
+            return None
+        # an accepted state is finite, so no 1 + t mu vanishes
+        x, t = x[0], s - self.s0
+        a, rhs, den = self.a0 + t * self.b, -(self.b @ x), 1.0 + t * self.mu
+        dx = self._apply(rhs, den)
+        dx += self._apply(rhs - a @ dx, den)
+        try:
+            _check_derivative(a, dx, rhs)
+        except NumericError:
+            return None
+        return x, dx
+
+    @staticmethod
+    def agrees(value: complex, reference: complex, scale: float) -> bool:
+        """The cross-check of a resolvent value against a direct solve."""
+        return abs(value - reference) <= RESOLVENT_AGREEMENT_RTOL * scale
 
 
 def residual(p: SystemParams, dm: DensityMatrix) -> float:

@@ -7,15 +7,10 @@ error code instead of aborting, and identical specs produce byte-identical
 data.
 
 Grid points are not evaluated independently when the outputs are all read
-off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): the system
-matrix is affine along every sweep axis, A(s) = A0 + (s - s0) B, so one
-steady state and one inverse at a base point s0 and one eigendecomposition
-A0^-1 B = W diag(mu) W^-1 give every point as the resolvent
-x(s) = W diag(1 / (1 + (s - s0) mu)) W^-1 x(s0) (Golub & Van Loan,
-Matrix Computations, 7.7).  Each such point is gated (the steady state's
-invariants, a backward-error bound, the conditioning of W) and falls
-back to its own solve when a gate fails; other sweeps solve point by
-point.
+off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): they come from
+the resolvent along the sweep axis (``steady_state._Resolvent``) on one
+steady state, and a point it refuses falls back to its own solve; other
+sweeps solve point by point.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, NumericError, ParameterError, SimulationError
-from .model import PARAM_FIELDS, MediumParams, SystemParams
+from .model import MediumParams, SystemParams
 from .observables import (
     Method,
     chi_at,
@@ -41,15 +36,7 @@ from .observables import (
     group_index,
     susceptibility,
 )
-from .steady_state import (
-    BACKWARD_TOL,
-    RHS,
-    _basis,
-    _index,
-    _valid_states,
-    assemble,
-    steady_state,
-)
+from .steady_state import _index, _Resolvent, steady_state
 
 
 class Axis(str, Enum):
@@ -81,20 +68,11 @@ _AXIS_FIELD = {Axis.DELTA_P: "delta_p", Axis.LAMBDA: "lambda_pump", Axis.G42: "g
 
 # Outputs read off the steady state alone, which the resolvent route gives.
 _RESOLVENT_OUTPUTS = frozenset({Output.CHI_RE, Output.CHI_IM, Output.POPULATIONS})
-# Gates of the resolvent route: a point is accepted only if its normwise
-# backward error ||A(s)x - b|| / (||A(s)|| ||x|| + ||b||) (infinity norms,
-# ||A(s)|| bounded by ||A0|| + |s - s0| ||B||) is at most the BACKWARD_TOL
-# every steady-state solve meets; the whole sweep is solved point by point
-# when cond_1(W) exceeds COND_MAX or the cross-check solve at the far grid
-# end differs by more than AGREEMENT_RTOL of the largest |chi|.
-RESOLVENT_COND_MAX = 1e8
-RESOLVENT_AGREEMENT_RTOL = 1e-12
 # Grid points per vectorised block, so no temporary grows with the grid.
 # A (128, 16) @ (16, 16) product stays below OpenBLAS's threading
 # threshold; at 256 rows each product woke its thread pool, which cost up
 # to 8 ms a product on a 2-core host.
 RESOLVENT_CHUNK = 128
-_RHO23 = _index(2, 3)
 _POPULATIONS = [_index(i, i) for i in (1, 2, 3, 4)]
 
 _OUTPUT_COLUMNS = {
@@ -242,19 +220,14 @@ def _evaluate_point(
 def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
-    """Every grid point of a NUMERIC CHI/POPULATIONS sweep from one steady
-    state at the middle of the grid, or None when the route does not
-    apply to the whole sweep.
-
-    A point is accepted when its axis value is admissible (``validate``
-    leaves only lambda = 0, which may trap, to exclude), its state
-    passes the checks of ``DensityMatrix.validate`` and its backward error
-    is at most ``BACKWARD_TOL``; any other point is evaluated on
-    its own.  None is returned, and the caller solves point by point, when
-    the base solve or the cross-check solve at the last grid point (on the
-    increasing grid, no nearer the base than the first) raises, when
-    cond_1(W) exceeds ``RESOLVENT_COND_MAX``, or when that point is
-    rejected or its chi disagrees with the cross-check.
+    """Every grid point of a NUMERIC CHI/POPULATIONS sweep from the
+    resolvent on the steady state at the middle of the grid, or None when
+    the route does not apply to the whole sweep: when the base solve, the
+    cross-check solve at the last grid point (on the increasing grid, no
+    nearer the base than the first) or the resolvent raises, or when that
+    point is refused or its chi disagrees with the cross-check relative to
+    the largest accepted |chi|.  A point the resolvent refuses, and lambda
+    = 0 (which may trap), is evaluated on its own.
     """
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
@@ -263,37 +236,21 @@ def _resolvent_sweep(
     try:
         dm = steady_state(p0)
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
-        a0, b1 = assemble(p0), _basis()[1][PARAM_FIELDS.index(field)]
-        a0_inv = np.linalg.inv(a0)
-        mu, w = np.linalg.eig(a0_inv @ b1)
-        w_inv = np.linalg.inv(w)
+        resolvent = _Resolvent(p0, field, dm)
     except (SimulationError, np.linalg.LinAlgError):
         return None
-    cond_w = np.max(np.sum(np.abs(w), axis=0)) * np.max(np.sum(np.abs(w_inv), axis=0))
-    if not cond_w <= RESOLVENT_COND_MAX:
-        return None
 
-    coeffs = w_inv @ dm.rho.reshape(16)
-    norm_a0 = np.max(np.sum(np.abs(a0), axis=1))
-    norm_b1 = np.max(np.sum(np.abs(b1), axis=1))
     axis = np.array(grid)
     accepted = axis > 0 if field == "lambda_pump" else np.ones(len(grid), dtype=bool)
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # rejected rows may hold inf or NaN, which the gates have refused
+    with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, len(grid), RESOLVENT_CHUNK):
             block = slice(lo, lo + RESOLVENT_CHUNK)
-            t = (axis[block] - grid[base])[:, None]
-            den = 1.0 + t * mu
-            x = (coeffs / den) @ w.T
-            # one step of iterative refinement through the same representation
-            r = RHS - (x @ a0.T + t * (x @ b1.T))
-            x += ((r @ a0_inv.T) @ w_inv.T / den) @ w.T
-            r = RHS - (x @ a0.T + t * (x @ b1.T))
-            bound = (norm_a0 + np.abs(t[:, 0]) * norm_b1) * np.max(np.abs(x), axis=1) + 1.0
-            accepted[block] &= np.max(np.abs(r), axis=1) <= BACKWARD_TOL * bound
-            accepted[block] &= _valid_states(x)
-            chi[block] = susceptibility(x[:, _RHO23], spec.medium, spec.params.g_p)
+            x, ok = resolvent.states(axis[block])
+            accepted[block] &= ok
+            chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
             columns = [axis[block]]
             for out in spec.outputs:
                 if out is Output.CHI_RE:
@@ -305,7 +262,7 @@ def _resolvent_sweep(
             rows.extend(map(tuple, np.column_stack(columns).tolist()))
 
     worst = np.max(np.abs(chi[accepted]), initial=0.0)
-    if not (accepted[far] and abs(chi[far] - chi_far) <= RESOLVENT_AGREEMENT_RTOL * worst):
+    if not (accepted[far] and resolvent.agrees(chi[far], chi_far, worst)):
         return None
     return [
         (value, row, None) if ok else _evaluate_point(spec, value)

@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import settings
 
 from darkres import MediumParams, SystemParams, observables
+
+# the module, which the package's steady_state function shadows
+steady_state_module = importlib.import_module("darkres.steady_state")
 
 # bench/oracle.py is the one superoperator reference of the repository;
 # the tests import it as ``oracle`` whether or not bench/ is collected.
@@ -27,9 +31,11 @@ MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
 
 @pytest.fixture(autouse=True)
 def fresh_evaluation_cache():
-    """Start every test without the last numeric chi evaluation, so no
-    test's solve counts or values depend on an earlier test."""
+    """Start every test without the last numeric chi evaluation or the last
+    probe-free seed state, so no test's solve counts or values depend on
+    an earlier test."""
     observables._chi_and_derivative.cache_clear()
+    observables._probe_free_state.cache_clear()
 
 
 @pytest.fixture
@@ -80,3 +86,26 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def refuse_resolvent_gate(monkeypatch):
+    """``refuse_resolvent_gate(gate, value)`` sets the resolvent gate
+    ``gate`` of ``darkres.steady_state`` to ``value``.  BACKWARD_TOL also
+    gates every direct solve, so it takes ``value`` only while the
+    resolvent gates its states."""
+
+    def refuse(gate, value):
+        if gate != "BACKWARD_TOL":
+            monkeypatch.setattr(steady_state_module, gate, value)
+            return
+        states = steady_state_module._Resolvent.states
+
+        def lowered(self, s):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(steady_state_module, "BACKWARD_TOL", value)
+                return states(self, s)
+
+        monkeypatch.setattr(steady_state_module._Resolvent, "states", lowered)
+
+    return refuse

@@ -1,10 +1,14 @@
 """The bracketed Newton root finders against the scan-and-bisect finders
 they replaced, kept here as a reference; the first-order seed of the
-automatic zero finder against its decade search; and the safeguard of the
-Newton routine itself."""
+automatic zero finder against its decade search; Newton iterates on the
+resolvent against direct solves; and the safeguard of the Newton routine
+itself."""
 
+import importlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from darkres import (
     find_absorption_zero_auto,
     find_gain_threshold,
 )
-from darkres import observables
+from darkres import observables, parse_config
 from darkres.model import WEAK_PROBE_FACTOR
 from darkres.observables import (
     SIGN_FLOOR,
@@ -28,6 +32,8 @@ from darkres.observables import (
     _bracketed_newton,
     _first_order_zero,
 )
+
+steady_state_module = importlib.import_module("darkres.steady_state")
 
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
 UNDRIVEN = SystemParams(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.01, **MERCURY)
@@ -183,18 +189,13 @@ def test_end_below_sign_floor_is_no_sign():
     assert exc.value.code == "NO_SIGN_CHANGE"
 
 
-def test_miss_costs_two_solves(monkeypatch):
-    calls = []
-    real = observables.chi_at
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(observables, "chi_at", counting)
+def test_miss_costs_two_solves(count_calls):
+    solves = count_calls("steady_state", observables)
+    builds = count_calls("_Resolvent", observables)
     with pytest.raises(NumericError):
         find_absorption_zero(SPIKE, MEDIUM, (1e-5, 1e-3))
-    assert len(calls) == 2
+    assert len(solves) == 2
+    assert builds == []
 
 
 # --- the first-order seed against the decade search alone ---
@@ -297,6 +298,15 @@ def test_first_order_gap_shrinks_as_probe_squared():
         assert larger / smaller == pytest.approx(4.0, rel=0.02)
 
 
+def test_both_sides_share_one_probe_free_solve(count_calls):
+    solves = count_calls("steady_state", observables)
+    # the probe detuning does not enter the probe-free state
+    cases = [(0.0, +1), (0.0, -1), (3e-4, +1)]
+    plus, minus, again = (_first_order_zero(replace(PUMPED, delta_p=dp), s) for dp, s in cases)
+    assert len(solves) == 1
+    assert minus < 0 < plus == again
+
+
 @pytest.mark.parametrize("side", [+1, -1])
 def test_seeded_bracket_is_tried_first_and_hits(side, count_calls):
     calls = count_calls("find_absorption_zero", observables)
@@ -349,6 +359,99 @@ def test_seeded_bracket_error_falls_back(monkeypatch):
     monkeypatch.setattr(observables, "find_absorption_zero", first_fails)
     assert find_absorption_zero_auto(PUMPED, MEDIUM) == expected
     assert brackets[1] == auto_zero_bracket(PUMPED)
+
+
+# --- Newton iterates on the resolvent against direct solves ---
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "golden.json").read_text(encoding="utf-8")
+)
+
+
+def force_direct_route(monkeypatch):
+    """Refuse every resolvent, so that each Newton iterate is solved on its
+    own, as before the finders used it."""
+
+    def refuse(*args):
+        raise np.linalg.LinAlgError("resolvent refused")
+
+    monkeypatch.setattr(observables, "_Resolvent", refuse)
+
+
+def golden_drive_roots():
+    """The gain threshold of each golden pump drive, and the crossings on
+    both sides at every point of its sweep, or the error codes."""
+    found = []
+    for drive in GOLDEN["pump_drives"]:
+        overrides = {"g42": repr(drive["g42"]), "start": repr(drive["start"])}
+        spec = parse_config(GOLDEN["pump_config"], overrides)
+        lambda_range = tuple(GOLDEN["threshold_range"])
+        found.append(outcome(find_gain_threshold, spec.params, spec.medium, lambda_range))
+        for lam in spec.grid():
+            p = replace(spec.params, lambda_pump=lam)
+            found.extend(outcome(find_absorption_zero_auto, p, spec.medium, s) for s in (1, -1))
+    return found
+
+
+@pytest.mark.parametrize(
+    "gate, value",
+    [
+        # the resolvent's backward-error gate reads the shared BACKWARD_TOL
+        pytest.param("BACKWARD_TOL", -1.0, id="RESOLVENT_BACKWARD_TOL--1.0"),
+        ("RESOLVENT_COND_MAX", 0.0),
+        ("RESOLVENT_AGREEMENT_RTOL", -1.0),
+    ],
+)
+def test_failed_gate_reproduces_direct_route(monkeypatch, refuse_resolvent_gate, gate, value):
+    with monkeypatch.context() as mp:
+        force_direct_route(mp)
+        direct = golden_drive_roots()
+    assert all(isinstance(root, float) for root in direct)
+    refuse_resolvent_gate(gate, value)
+    assert golden_drive_roots() == direct
+
+
+def test_resolvent_route_agrees_with_direct_route_on_seeded_draws(monkeypatch, count_calls):
+    """25 pumped draws like the bench's random states: the crossings on
+    both sides and the gain threshold within 1e-10 of the direct route's,
+    and the same error codes.  Every Newton iterate comes from the
+    resolvent, so the only direct evaluations are the zero finder's
+    verifications, one per crossing found."""
+    rng = np.random.default_rng(20)
+    draws = [seeded_draw(rng, pumped=True) for _ in range(25)]
+
+    def roots():
+        zeros = [outcome(find_absorption_zero_auto, p, MEDIUM, s) for p in draws for s in (1, -1)]
+        stars = [outcome(find_gain_threshold, p, MEDIUM, (1e-8, 1e-2)) for p in draws]
+        return zeros, stars
+
+    direct = count_calls("_chi_and_derivative", observables)
+    zeros, stars = roots()
+    found = sum(isinstance(root, float) for root in zeros)
+    assert len(direct) == found >= 20
+    with monkeypatch.context() as mp:
+        force_direct_route(mp)
+        ref_zeros, ref_stars = roots()
+    assert all(isinstance(star, float) for star in ref_stars)
+    for got, want in zip(zeros + stars, ref_zeros + ref_stars):
+        assert_same(got, want, 1e-10)
+
+
+def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
+    expected = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
+    real = steady_state_module._Resolvent.state_and_derivative
+    asked = []
+
+    def refuse_first(self, s):
+        asked.append(s)
+        return None if len(asked) == 1 else real(self, s)
+
+    monkeypatch.setattr(steady_state_module._Resolvent, "state_and_derivative", refuse_first)
+    direct = count_calls("_chi_and_derivative", observables)
+    star = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
+    assert len(asked) >= 3
+    assert [args[0].lambda_pump for args in direct] == asked[:1]
+    assert star == pytest.approx(expected, rel=1e-10)
 
 
 # --- the safeguarded Newton routine ---

@@ -430,6 +430,40 @@ class TestDerivative:
             steady_state_derivative(pumped_config, steady_state(pumped_config), "g43")
 
 
+class TestResolvent:
+    """The resolvent along the pump rate from a base at 1e-8, as in the
+    gain-threshold search, out to its far end at 1e-2."""
+
+    @pytest.fixture
+    def resolvent(self, spike_config):
+        p = replace(spike_config, lambda_pump=1e-8)
+        return steady_state_module._Resolvent(p, "lambda_pump", steady_state(p))
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2])
+    def test_state_and_derivative_match_direct_solves(self, resolvent, spike_config, lam):
+        x, dx = resolvent.state_and_derivative(lam)
+        p = replace(spike_config, lambda_pump=lam)
+        dm = steady_state(p)
+        want = steady_state_derivative(p, dm, "lambda_pump").reshape(16)
+        assert np.max(np.abs(x - dm.rho.reshape(16))) <= 1e-13
+        assert np.max(np.abs(dx - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_refused_derivative_refuses_the_pair(self, monkeypatch, resolvent):
+        def refuse(a, dx, rhs):
+            raise NumericError("derivative refused", code="BAD_SOLUTION")
+
+        monkeypatch.setattr(steady_state_module, "_check_derivative", refuse)
+        _, ok = resolvent.states(np.array([1e-4]))
+        assert ok[0]
+        assert resolvent.state_and_derivative(1e-4) is None
+
+    def test_ill_conditioned_eigenbasis_refused(self, monkeypatch, spike_config):
+        monkeypatch.setattr(steady_state_module, "RESOLVENT_COND_MAX", 1.0)
+        p = replace(spike_config, lambda_pump=1e-8)
+        with pytest.raises(np.linalg.LinAlgError):
+            steady_state_module._Resolvent(p, "lambda_pump", steady_state(p))
+
+
 class TestResidual:
     def test_zero_for_solved_state(self, undriven_coupling):
         dm = steady_state(undriven_coupling)

@@ -572,9 +572,11 @@ class TestResolventRoute:
         ],
         ids=["pumped", "trapped"],
     )
-    def test_failed_gate_reproduces_per_point_route(self, monkeypatch, gate, value, spec):
+    def test_failed_gate_reproduces_per_point_route(
+        self, refuse_resolvent_gate, gate, value, spec
+    ):
         rows, failures = per_point(spec)
-        monkeypatch.setattr(sweep, gate, value)
+        refuse_resolvent_gate(gate, value)
         table = run_sweep(spec)
         assert table.rows == rows
         assert table.failures == failures
