@@ -8,8 +8,8 @@ the group index, the detunings of vanishing absorption, and the pump
 strength at which the narrow absorption feature turns into gain.  Every
 derivative is exact: on the numeric route one more solve with the matrix
 of the steady state it differentiates, for a closed form from its
-rational dependence on the probe detuning.  The root finders' Newton
-iterates come from the resolvent on one end's steady state.
+rational dependence on the probe detuning.  The root finders' lower ends
+and Newton iterates come from the resolvent built at the lower end.
 """
 
 from __future__ import annotations
@@ -231,26 +231,29 @@ def _im_chi_crossing(
     the numeric chi'' changes sign: both ends must carry a sign, else
     ``NO_SIGN_CHANGE`` saying ``no_sign_change``; then safeguarded Newton
     on the exact derivative along ``field``, to relative tolerance ``tol``
-    in x, or in u = ln(x) when ``in_log``.  Iterates come from the resolvent
-    on the state at lo, used only if its chi at hi agrees with ``chi_at``;
-    one it refuses is solved directly, as is each when it is not used."""
+    in x, or in u = ln(x) when ``in_log``.  The ends' states and the
+    iterates come from the resolvent built at lo, used only if it accepts
+    both ends and its chi at hi agrees with ``chi_at``; when it is not
+    used, lo is solved directly too, so that everything follows the direct
+    route, and an iterate it refuses alone is solved directly."""
     p_lo = replace(p, **{field: lo})
-    dm = steady_state(p_lo)
-    chi_lo = susceptibility(dm.element(2, 3), m, p.g_p)
+    try:
+        resolvent = _Resolvent(p_lo, field)  # raises TRAPPED as steady_state
+    except np.linalg.LinAlgError:
+        ok = [False]
+    else:
+        x, ok = resolvent.states(np.array([lo, hi]))
+    if all(ok):
+        chi_lo, check = susceptibility(x[:, _index(2, 3)], m, p.g_p).tolist()
+    else:
+        resolvent, chi_lo = None, chi_at(p_lo, m)
     chi_hi = chi_at(replace(p, **{field: hi}), m)
+    if resolvent is not None and not resolvent.agrees(check, chi_hi, max(abs(chi_lo), abs(chi_hi))):
+        resolvent, chi_lo = None, chi_at(p_lo, m)
     f_lo, f_hi = chi_lo.imag, chi_hi.imag
     # each end must carry a sign (above SIGN_FLOOR), and the signs differ
     if not (abs(f_lo) > SIGN_FLOOR and abs(f_hi) > SIGN_FLOOR and f_lo * f_hi < 0):
         raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
-    try:
-        resolvent = _Resolvent(p_lo, field, dm)
-    except np.linalg.LinAlgError:
-        resolvent = None
-    else:
-        x, ok = resolvent.states(np.array([hi]))
-        check = susceptibility(complex(x[0, _index(2, 3)]), m, p.g_p)
-        if not (ok[0] and resolvent.agrees(check, chi_hi, max(abs(chi_lo), abs(chi_hi)))):
-            resolvent = None
 
     def im_chi_and_slope(x: float) -> tuple[float, float]:
         got = resolvent.state_and_derivative(x) if resolvent is not None else None
@@ -403,7 +406,7 @@ def find_absorption_zero_auto(
     only, so any ``NumericError`` from it moves on to the decade brackets.
     These start from the automatic bracket and widen it tenfold, up to
     ``ZERO_BRACKET_EXPANSIONS`` times, while the ends share a sign (a miss
-    costs two solves): for strong drives the crossing sits many gain half
+    costs one solve): for strong drives the crossing sits many gain half
     widths out (the gain wing decays slowly against a background
     suppressed by optical pumping), beyond any fixed small multiple of the
     feature scale.  A first-order crossing beyond the widest decade

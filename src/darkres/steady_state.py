@@ -14,7 +14,7 @@ parameter derivative costs one more solve with the same matrix.  A steady
 state is one Gaussian elimination with partial pivoting and no refinement
 step, which in double precision gains nothing: backward errors stay below
 1e-16 on random draws, and states away from the trap lie within 1e-15 of
-the exact rational solution.  Every solve is gated by its backward error.
+the exact rational solution.  Every solve passes one gate, :func:`_gate`.
 """
 
 from __future__ import annotations
@@ -75,36 +75,64 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.rho))
 
-    def validate(self) -> None:
+    def validate(self, matrix: np.ndarray | None = None) -> None:
         """Check Hermiticity (which covers real populations), unit trace and
-        population bounds; NaN fails every check.  Raises ``BAD_SOLUTION``
-        naming the first failed check and its defect."""
-        for name, defect, tol in _state_defects(self.rho):
-            if not defect[0] <= tol:
-                raise NumericError(f"{name} (defect {defect[0]:.3e})", code="BAD_SOLUTION")
+        population bounds, after the backward error of the solve when the
+        state solves ``matrix`` x = :data:`RHS`; NaN fails every check.
+        Raises ``BAD_SOLUTION`` naming the first failed check and its
+        defect."""
+        x = self.rho.reshape(1, 16)
+        r, norm = (None, 0.0) if matrix is None else (x @ matrix.T - RHS, _norm(matrix))
+        _gate(x, r, norm, 1.0, strict=True)
 
 
-def _state_defects(x: np.ndarray) -> list[tuple[str, np.ndarray, float]]:
-    """The three checks of a steady state on each row of ``x`` (the 16
-    entries of one state), as (failure message, defect per row, tolerance).
-    A row passes a check when ``defect <= tol``, which NaN fails; the
-    population defect is how far the farthest population lies outside
-    [0, 1] (negative when all lie inside)."""
-    rho = x.reshape(-1, 4, 4)
-    pops = np.diagonal(rho, axis1=1, axis2=2)
-    skew = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    outside = np.max(np.maximum(-pops.real, pops.real - 1.0), axis=1)
-    return [
-        ("solution not Hermitian", skew, HERMITICITY_TOL),
-        ("trace deviates from 1", np.abs(pops.sum(axis=1) - 1.0), TRACE_TOL),
-        ("population outside [0, 1]", outside, POPULATION_TOL),
-    ]
+def _norm(a: np.ndarray) -> float:
+    """Infinity norm of the matrix ``a``."""
+    return np.abs(a).sum(axis=1).max()
 
 
-def _valid_states(x: np.ndarray) -> np.ndarray:
-    """:meth:`DensityMatrix.validate` on each row of ``x`` (the 16 entries
-    of one state), as a mask: the same checks at the same tolerances."""
-    return np.all([defect <= tol for _, defect, tol in _state_defects(x)], axis=0)
+def _gate(
+    x: np.ndarray, r: np.ndarray | None = None, norm_a=0.0, norm_b=0.0,
+    derivative: bool = False, strict: bool = False,
+) -> np.ndarray:
+    """The gate of every solve: the mask of the rows of ``x`` (the 16
+    entries of a state, or of a derivative when ``derivative``) that pass
+    every check, which NaN fails.  With residual rows ``r``, the normwise
+    backward error ||r|| / (||A|| ||x|| + ||b||), given the infinity norms
+    ``norm_a`` (shared or per row) and ``norm_b``, is at most
+    ``BACKWARD_TOL``.  A state is Hermitian, of unit trace and with
+    populations in [0, 1]; a derivative Hermitian and traceless relative
+    to its largest entry.  With ``strict``, raises ``BAD_SOLUTION`` naming
+    the first check that the first row fails."""
+    rho, diag, size = x.reshape(-1, 4, 4), x[:, ::5], np.abs(x).max(axis=1)
+    skew = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    trace = diag.sum(axis=1)
+    what = "derivative" if derivative else "steady state"
+    # (message of d, s and q = d / s, defect d, scale s, tol): pass if d <= tol * s
+    checks = [] if r is None else [(
+        f"{what} backward error {{q:.3e}} above {BACKWARD_TOL:.0e}",
+        np.abs(r).max(axis=1), norm_a * size + norm_b, BACKWARD_TOL,
+    )]
+    if derivative:
+        checks += [
+            ("derivative not Hermitian (defect {d:.3e} of {s:.3e})", skew, size, HERMITICITY_TOL),
+            ("derivative trace {d:.3e} not zero (scale {s:.3e})", np.abs(trace), size, TRACE_TOL),
+        ]
+    else:
+        outside = np.maximum(-diag.real, diag.real - 1.0).max(axis=1)
+        checks += [
+            ("solution not Hermitian (defect {d:.3e})", skew, 1.0, HERMITICITY_TOL),
+            ("trace deviates from 1 (defect {d:.3e})", np.abs(trace - 1.0), 1.0, TRACE_TOL),
+            ("population outside [0, 1] (defect {d:.3e})", outside, 1.0, POPULATION_TOL),
+        ]
+    ok = True
+    for message, defect, scale, tol in checks:
+        passed = defect <= tol * scale
+        if strict and not passed[0]:
+            d, s = defect[0], np.ravel(scale)[0]
+            raise NumericError(message.format(d=d, s=s, q=d / s), code="BAD_SOLUTION")
+        ok = ok & passed
+    return ok
 
 
 def equations_of_motion(
@@ -269,40 +297,26 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_trap(p: SystemParams) -> None:
+    """Raise ``TRAPPED`` when nothing couples state |3>'s shelving cycle back
+    out (no 1->3 decay, no coupling field, no pump): no steady state then."""
+    if p.gamma13 == 0.0 and p.g41 == 0.0 and p.lambda_pump == 0.0:
+        msg = "population trapping: gamma13, g41 and the pump are all zero"
+        raise NumericError(msg, code="TRAPPED")
+
+
 def steady_state(p: SystemParams) -> DensityMatrix:
     """Solve for the steady-state density matrix of the driven system.
 
-    Raises ``TRAPPED`` when nothing couples state |3>'s shelving cycle back
-    out (no 1->3 decay, no coupling field, no pump): the long-time state
-    then depends on the initial conditions and a steady-state solve is
-    meaningless.  Propagates ``SINGULAR`` from degenerate configurations.
-    Raises ``BAD_SOLUTION`` when the solve's backward error exceeds
-    ``BACKWARD_TOL`` or the state fails :meth:`DensityMatrix.validate`.
+    Raises ``TRAPPED`` (:func:`_check_trap`), propagates ``SINGULAR`` from
+    degenerate configurations, and raises ``BAD_SOLUTION`` when the state
+    fails :meth:`DensityMatrix.validate` on its matrix.
     """
     a = assemble(p)  # checks p before the trap test compares its fields
-    if p.gamma13 == 0.0 and p.g41 == 0.0 and p.lambda_pump == 0.0:
-        raise NumericError(
-            "population trapping: gamma13, g41 and the pump are all zero",
-            code="TRAPPED",
-        )
-    x = solve_linear(a, RHS)
-    _check_backward(a, x, RHS, "steady state")
-    dm = DensityMatrix(rho=x.reshape(4, 4))
-    dm.validate()
+    _check_trap(p)
+    dm = DensityMatrix(rho=solve_linear(a, RHS).reshape(4, 4))
+    dm.validate(a)
     return dm
-
-
-def _check_backward(a: np.ndarray, x: np.ndarray, b: np.ndarray, what: str) -> None:
-    """Raise ``BAD_SOLUTION`` unless the normwise backward error
-    ||a x - b|| / (||a|| ||x|| + ||b||) (infinity norms) of the solve is at
-    most ``BACKWARD_TOL``; NaN fails."""
-    r = np.max(np.abs(a @ x - b))
-    bound = np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b))
-    if not r <= BACKWARD_TOL * bound:
-        raise NumericError(
-            f"{what} backward error {r / bound:.3e} above {BACKWARD_TOL:.0e}",
-            code="BAD_SOLUTION",
-        )
 
 
 def steady_state_derivative(
@@ -329,34 +343,23 @@ def steady_state_derivative(
 
 
 def _check_derivative(a: np.ndarray, dx: np.ndarray, rhs: np.ndarray) -> None:
-    """Raise ``BAD_SOLUTION`` unless ``a dx = rhs`` passes ``_check_backward``
-    and d(rho) is Hermitian and traceless relative to its largest entry."""
-    _check_backward(a, dx, rhs, "derivative")
-    drho = dx.reshape(4, 4)
-    scale = np.abs(dx).max()
-    defect = np.abs(drho - drho.conj().T).max()
-    if not defect <= HERMITICITY_TOL * scale:
-        raise NumericError(
-            f"derivative not Hermitian (defect {defect:.3e} of {scale:.3e})",
-            code="BAD_SOLUTION",
-        )
-    drift = abs(drho.trace())
-    if not drift <= TRACE_TOL * scale:
-        raise NumericError(
-            f"derivative trace {drift:.3e} not zero (scale {scale:.3e})",
-            code="BAD_SOLUTION",
-        )
+    """Raise ``BAD_SOLUTION`` unless the derivative ``dx`` solving
+    ``a dx = rhs`` passes :func:`_gate`."""
+    r = (a @ dx - rhs)[None]
+    _gate(dx[None], r, _norm(a), np.abs(rhs).max(), derivative=True, strict=True)
 
 
 class _Resolvent:
-    """Steady states along the field ``field`` of ``p`` from its accepted
-    state ``dm``: A(s) = A0 + t B with t = s - s0, and A0^-1 B = W diag(mu)
-    W^-1 give x(s) = W diag(1 / (1 + t mu)) W^-1 x0 (Golub & Van Loan, 7.7).
-    Raises ``LinAlgError`` when A0 or W is singular or cond_1(W) exceeds
-    ``RESOLVENT_COND_MAX``, where no per-state gate sees the lost accuracy."""
+    """Steady states along the field ``field`` of ``p``: A(s) = A0 + t B
+    with t = s - s0, and A0^-1 B = W diag(mu) W^-1 give x(s) = W diag(1 /
+    (1 + t mu)) W^-1 A0^-1 b (Golub & Van Loan, 7.7), so the state at s0 is
+    one more row, refined and gated like every other.  Raises ``TRAPPED``
+    as :func:`steady_state` does, and ``LinAlgError`` when A0 or W is
+    singular or cond_1(W) > ``RESOLVENT_COND_MAX``, which no row gate sees."""
 
-    def __init__(self, p: SystemParams, field: str, dm: DensityMatrix) -> None:
+    def __init__(self, p: SystemParams, field: str) -> None:
         self.s0, self.a0 = getattr(p, field), assemble(p)
+        _check_trap(p)
         self.b = _basis()[1][PARAM_FIELDS.index(field)]
         self.a0_inv = np.linalg.inv(self.a0)
         self.mu, self.w = np.linalg.eig(self.a0_inv @ self.b)
@@ -364,9 +367,8 @@ class _Resolvent:
         cond = np.max(np.sum(np.abs(self.w), axis=0)) * np.max(np.sum(np.abs(self.w_inv), axis=0))
         if not cond <= RESOLVENT_COND_MAX:
             raise np.linalg.LinAlgError(f"eigenbasis condition {cond:.3e} too large")
-        self.coeffs = self.w_inv @ dm.rho.reshape(16)
-        self.norm_a0 = np.max(np.sum(np.abs(self.a0), axis=1))
-        self.norm_b = np.max(np.sum(np.abs(self.b), axis=1))
+        self.coeffs = self.w_inv @ (self.a0_inv @ RHS)
+        self.norm_a0, self.norm_b = _norm(self.a0), _norm(self.b)
 
     def _apply(self, v: np.ndarray, den: np.ndarray) -> np.ndarray:
         """A(s)^-1 v for each row of ``v``, with den = 1 + t mu."""
@@ -374,8 +376,8 @@ class _Resolvent:
 
     def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states at the axis values ``s`` (rows), refined once, and the
-        mask of those that pass ``DensityMatrix.validate``'s checks and a
-        backward error <= ``BACKWARD_TOL`` with ||A(s)|| <= ||A0|| + |t| ||B||."""
+        mask of those that pass :func:`_gate`, with ||A(s)|| <= ||A0|| +
+        |t| ||B|| in the backward error."""
         t = (s - self.s0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             den = 1.0 + t * self.mu
@@ -383,9 +385,7 @@ class _Resolvent:
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
             x += self._apply(r, den)
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
-            bound = (self.norm_a0 + np.abs(t[:, 0]) * self.norm_b) * np.abs(x).max(axis=1) + 1.0
-            ok = (np.abs(r).max(axis=1) <= BACKWARD_TOL * bound) & _valid_states(x)
-        return x, ok
+            return x, _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
 
     def state_and_derivative(self, s: float) -> tuple[np.ndarray, np.ndarray] | None:
         """The state at ``s`` and its exact derivative along the field, from

@@ -8,9 +8,9 @@ data.
 
 Grid points are not evaluated independently when the outputs are all read
 off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): they come from
-the resolvent along the sweep axis (``steady_state._Resolvent``) on one
-steady state, and a point it refuses falls back to its own solve; other
-sweeps solve point by point.
+the resolvent along the sweep axis (``steady_state._Resolvent``) built at
+the middle grid point, and a point it refuses falls back to its own solve;
+other sweeps solve point by point.
 """
 
 from __future__ import annotations
@@ -221,22 +221,19 @@ def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
     """Every grid point of a NUMERIC CHI/POPULATIONS sweep from the
-    resolvent on the steady state at the middle of the grid, or None when
-    the route does not apply to the whole sweep: when the base solve, the
-    cross-check solve at the last grid point (on the increasing grid, no
-    nearer the base than the first) or the resolvent raises, or when that
-    point is refused or its chi disagrees with the cross-check relative to
-    the largest accepted |chi|.  A point the resolvent refuses, and lambda
-    = 0 (which may trap), is evaluated on its own.
-    """
+    resolvent built at the middle grid point, or None when the route does
+    not apply to the whole sweep: when the resolvent (at a trapped base
+    too) or the cross-check solve at the last grid point (no nearer the
+    base than the first) raises, or when that point is refused or its chi
+    disagrees with the cross-check relative to the largest accepted |chi|.
+    A point it refuses, the base too, and lambda = 0 (which may trap), is
+    evaluated on its own."""
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
-    p0 = _point_params(spec, grid[base])
     try:
-        dm = steady_state(p0)
+        resolvent = _Resolvent(_point_params(spec, grid[base]), field)
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
-        resolvent = _Resolvent(p0, field, dm)
     except (SimulationError, np.linalg.LinAlgError):
         return None
 

@@ -25,13 +25,19 @@ def test_one_traced_pass(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] == 0
+    metrics = {key: value["value"] for key, value in result["metrics"].items()}
+    if workload == "spectrum":
+        # the sweep's base row comes from its resolvent: the one solve is
+        # the cross-check at the far end of the grid
+        assert metrics["steady_state.calls"] <= 1
     if workload == "pump_scan":
-        # every zero search hits on its first, seeded bracket, its Newton
-        # iterates and the threshold's come from the resolvent on the end
-        # solve, and the slope and group index at delta0 reuse its
-        # verification solve: 66 solves a pass at seed 0, 115 with a solve
-        # per iterate, 145 without that reuse, and 216 with the decade
-        # search alone
-        metrics = {key: value["value"] for key, value in result["metrics"].items()}
-        assert metrics["steady_state.calls"] <= 66
+        # every zero search hits on its first, seeded bracket; both ends'
+        # states and the Newton iterates of each search come from the
+        # resolvent built at its lower end, and the slope and group index
+        # at delta0 reuse its verification solve: 48 solves a pass at seed
+        # 0 (one probe-free seed solve and one upper end per zero, one
+        # verification per root, one upper end per threshold), 66 with a
+        # direct solve at each lower end, 115 with a solve per iterate,
+        # 145 without that reuse, and 216 with the decade search alone
+        assert metrics["steady_state.calls"] <= 48
         assert metrics["observables.find_absorption_zero_auto.bracket_hit_ratio"] == 1.0

@@ -189,13 +189,15 @@ def test_end_below_sign_floor_is_no_sign():
     assert exc.value.code == "NO_SIGN_CHANGE"
 
 
-def test_miss_costs_two_solves(count_calls):
+def test_miss_costs_one_solve_and_one_resolvent(count_calls):
+    """The lower end comes from the resolvent built there, so a bracket
+    whose ends share a sign costs the upper end's solve and that build."""
     solves = count_calls("steady_state", observables)
     builds = count_calls("_Resolvent", observables)
     with pytest.raises(NumericError):
         find_absorption_zero(SPIKE, MEDIUM, (1e-5, 1e-3))
-    assert len(solves) == 2
-    assert builds == []
+    assert [args[0].delta_p for args in solves] == [1e-3]
+    assert [args[0].delta_p for args in builds] == [1e-5]
 
 
 # --- the first-order seed against the decade search alone ---
@@ -409,6 +411,41 @@ def test_failed_gate_reproduces_direct_route(monkeypatch, refuse_resolvent_gate,
     assert all(isinstance(root, float) for root in direct)
     refuse_resolvent_gate(gate, value)
     assert golden_drive_roots() == direct
+
+
+@pytest.mark.parametrize(
+    "finder, p, bracket, want",
+    [
+        pytest.param(
+            find_absorption_zero, replace(PUMPED, g41=0.0), (1e-5, 1e-3), "NO_SIGN_CHANGE",
+            id="zero-undriven-probe",
+        ),
+        pytest.param(
+            find_absorption_zero, replace(PUMPED, g41=0.0, g42=0.0), (1e-5, 1e-3), "SINGULAR",
+            id="zero-conserved-rho11",
+        ),
+        pytest.param(
+            find_gain_threshold, replace(SPIKE, g41=0.0), (0.0, 1e-2), "TRAPPED",
+            id="threshold-trapped-at-zero-pump",
+        ),
+        pytest.param(
+            find_gain_threshold, SPIKE, (0.0, 1e-2), 1.6444e-5, id="threshold-from-zero-pump",
+        ),
+        pytest.param(
+            find_gain_threshold, replace(SPIKE, g42=0.0), (1e-8, 1e-2), "NO_SIGN_CHANGE",
+            id="threshold-without-drive",
+        ),
+    ],
+)
+def test_lower_end_edge_cases_match_direct_route(monkeypatch, finder, p, bracket, want):
+    """The lower end taken from the resolvent gives the direct route's
+    root or error code where that end is singular, trapped or unsigned."""
+    got = outcome(finder, p, MEDIUM, bracket)
+    with monkeypatch.context() as mp:
+        force_direct_route(mp)
+        direct = outcome(finder, p, MEDIUM, bracket)
+    assert_same(got, direct, 1e-10)
+    assert_same(got, want, 1e-4)
 
 
 def test_resolvent_route_agrees_with_direct_route_on_seeded_draws(monkeypatch, count_calls):

@@ -20,9 +20,9 @@ from darkres.steady_state import (
     RHS,
     DensityMatrix,
     _basis,
+    _gate,
     _index,
     _transcribe,
-    _valid_states,
     equations_of_motion,
 )
 import oracle
@@ -363,7 +363,7 @@ class TestValidStates:
             return True
 
         want = [passes(rho) for rho in states]
-        mask = _valid_states(np.array(states).reshape(-1, 16))
+        mask = _gate(np.array(states).reshape(-1, 16))
         assert mask.tolist() == want
         assert sum(want) == 20
 
@@ -437,9 +437,10 @@ class TestResolvent:
     @pytest.fixture
     def resolvent(self, spike_config):
         p = replace(spike_config, lambda_pump=1e-8)
-        return steady_state_module._Resolvent(p, "lambda_pump", steady_state(p))
+        return steady_state_module._Resolvent(p, "lambda_pump")
 
-    @pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2])
+    # 1e-8 is the base itself, whose state is one more row of the resolvent
+    @pytest.mark.parametrize("lam", [1e-8, 1e-6, 1e-4, 1e-2])
     def test_state_and_derivative_match_direct_solves(self, resolvent, spike_config, lam):
         x, dx = resolvent.state_and_derivative(lam)
         p = replace(spike_config, lambda_pump=lam)
@@ -461,7 +462,13 @@ class TestResolvent:
         monkeypatch.setattr(steady_state_module, "RESOLVENT_COND_MAX", 1.0)
         p = replace(spike_config, lambda_pump=1e-8)
         with pytest.raises(np.linalg.LinAlgError):
-            steady_state_module._Resolvent(p, "lambda_pump", steady_state(p))
+            steady_state_module._Resolvent(p, "lambda_pump")
+
+    def test_trapped_base_raises_as_steady_state(self, spike_config):
+        p = replace(spike_config, g41=0.0)
+        with pytest.raises(NumericError) as exc:
+            steady_state_module._Resolvent(p, "lambda_pump")
+        assert exc.value.code == "TRAPPED"
 
 
 class TestResidual:

@@ -514,6 +514,18 @@ class TestResolventRoute:
             assert got[0] == want[0]
             assert max(abs(a - b) for a, b in zip(got[1:], want[1:])) <= 1e-12
 
+    def test_trapped_base_takes_per_point_route(self, count_calls):
+        # g41 = gamma13 = lambda = 0 traps every point of a DELTA_P sweep;
+        # the resolvent refuses a trapped base, as steady_state does
+        spec = resolvent_spec(
+            dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0), Axis.DELTA_P, -1e-3, 1e-3, points=5
+        )
+        fallbacks = count_calls("_evaluate_point", sweep)
+        table = run_sweep(spec)
+        assert len(fallbacks) == 5
+        assert table.rows == []
+        assert table.failures == [(x, "TRAPPED") for x in spec.grid()]
+
     def test_defective_eigenbasis_takes_per_point_route(self, count_calls):
         # at resonance the same trap leaves A0^-1 B without a usable
         # eigenbasis (cond_1(W) ~ 1e16): every point is solved on its own
