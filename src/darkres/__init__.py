@@ -34,7 +34,6 @@ from .observables import (
 from .steady_state import (
     DensityMatrix,
     assemble,
-    residual,
     solve_linear,
     steady_state,
     steady_state_derivative,
@@ -54,7 +53,7 @@ __all__ = [
     "__version__",
     "SystemParams", "MediumParams",
     "DensityMatrix", "assemble", "solve_linear",
-    "steady_state", "steady_state_derivative", "residual",
+    "steady_state", "steady_state_derivative",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
     "Method", "susceptibility", "chi_prefactor", "chi_at", "probe_coherence",
     "dispersion_slope", "group_index", "find_absorption_zero",

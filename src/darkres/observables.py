@@ -7,8 +7,8 @@ that sit derivative and root-finding utilities: the dispersion slope and
 the group index, the detunings of vanishing absorption, and the pump
 strength at which the narrow absorption feature turns into gain.  Every
 derivative is exact: on the numeric route one more solve with the matrix
-of the steady state it differentiates, for a closed form from its
-rational dependence on the probe detuning.  The root finders' lower ends
+that the steady state it differentiates carries, for a closed form from
+its rational dependence on the probe detuning.  The root finders' lower ends
 and Newton iterates come from the resolvent built at the lower end.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import _basis, _index, _Resolvent, assemble, steady_state
+from .steady_state import DensityMatrix, _basis, _index, _Resolvent, steady_state
 from .steady_state import steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -121,7 +121,7 @@ def _chi_and_derivative(
     result is kept, so the zero finder's verification at delta0 also
     serves the slope and group index there."""
     dm = steady_state(p)
-    drho = steady_state_derivative(p, dm, wrt)
+    drho = steady_state_derivative(dm, wrt)
     return (
         susceptibility(dm.element(2, 3), m, p.g_p),
         susceptibility(complex(drho[1, 2]), m, p.g_p),
@@ -308,13 +308,12 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     adj(M) r, where t = tr M, e2 = (t^2 - tr M^2) / 2 and adj(M) = M^2 -
     t M + e2 I.  Im(N / D) vanishes at the real roots of the real
     polynomial Im(N conj(D)) in delta, of degree <= 5.  One gated solve,
-    for x0, kept for the other side.  Raises ``NO_SIGN_CHANGE`` when no
-    real root lies on the side.
+    for x0, kept for the other side with the matrix M is sliced from.
+    Raises ``NO_SIGN_CHANGE`` when no real root lies on the side.
     """
-    p0 = replace(p, g_p=0.0, delta_p=0.0)
-    x0 = _probe_free_state(p0)
-    r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ x0)[_PROBE_BLOCK]
-    m = assemble(p0)[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
+    dm0 = _probe_free_state(replace(p, g_p=0.0, delta_p=0.0))
+    r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ dm0.rho.reshape(16))[_PROBE_BLOCK]
+    m = dm0.system_matrix[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
     m2 = m @ m
     t = np.trace(m)
     e2 = 0.5 * (t * t - np.trace(m2))
@@ -332,9 +331,9 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _probe_free_state(p0: SystemParams) -> np.ndarray:
-    """The steady state of ``p0`` (g_p = 0) as a 16-vector, kept."""
-    return steady_state(p0).rho.reshape(16)
+def _probe_free_state(p0: SystemParams) -> DensityMatrix:
+    """The steady state of ``p0`` (g_p = 0), kept."""
+    return steady_state(p0)
 
 
 def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:

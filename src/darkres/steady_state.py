@@ -10,16 +10,17 @@ Hermiticity of the solution a non-trivial check after the solve.
 
 The matrix is affine in every parameter, A(p) = T + sum_k theta_k B_k:
 the basis tensor (T, B) is built once, on first use, and an exact
-parameter derivative costs one more solve with the same matrix.  A steady
-state is one Gaussian elimination with partial pivoting and no refinement
-step, which in double precision gains nothing: backward errors stay below
-1e-16 on random draws, and states away from the trap lie within 1e-15 of
-the exact rational solution.  Every solve passes one gate, :func:`_gate`.
+parameter derivative costs one more solve with the same matrix, which
+every solved state carries.  A steady state is one Gaussian elimination
+with partial pivoting and no refinement step, which in double precision
+gains nothing: backward errors stay below 1e-16 on random draws, and
+states away from the trap lie within 1e-15 of the exact rational
+solution.  Every solve passes one gate, :func:`_gate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -61,9 +62,12 @@ RHS.setflags(write=False)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """4x4 complex steady-state density matrix (one-based state labels)."""
+    """4x4 complex steady-state density matrix (one-based state labels),
+    with the 16x16 matrix whose solution it is (right-hand side
+    :data:`RHS`), read-only, when :func:`steady_state` solved it."""
 
     rho: np.ndarray
+    system_matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def element(self, i: int, j: int) -> complex:
         return complex(self.rho[i - 1, j - 1])
@@ -75,14 +79,13 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.rho))
 
-    def validate(self, matrix: np.ndarray | None = None) -> None:
+    def validate(self) -> None:
         """Check Hermiticity (which covers real populations), unit trace and
         population bounds, after the backward error of the solve when the
-        state solves ``matrix`` x = :data:`RHS`; NaN fails every check.
-        Raises ``BAD_SOLUTION`` naming the first failed check and its
-        defect."""
-        x = self.rho.reshape(1, 16)
-        r, norm = (None, 0.0) if matrix is None else (x @ matrix.T - RHS, _norm(matrix))
+        state carries its ``system_matrix``; NaN fails every check.  Raises
+        ``BAD_SOLUTION`` naming the first failed check and its defect."""
+        x, a = self.rho.reshape(1, 16), self.system_matrix
+        r, norm = (None, 0.0) if a is None else (x @ a.T - RHS, _norm(a))
         _gate(x, r, norm, 1.0, strict=True)
 
 
@@ -308,31 +311,34 @@ def _check_trap(p: SystemParams) -> None:
 def steady_state(p: SystemParams) -> DensityMatrix:
     """Solve for the steady-state density matrix of the driven system.
 
+    The state carries the matrix it solves as its ``system_matrix``.
     Raises ``TRAPPED`` (:func:`_check_trap`), propagates ``SINGULAR`` from
     degenerate configurations, and raises ``BAD_SOLUTION`` when the state
-    fails :meth:`DensityMatrix.validate` on its matrix.
+    fails :meth:`DensityMatrix.validate`.
     """
     a = assemble(p)  # checks p before the trap test compares its fields
     _check_trap(p)
-    dm = DensityMatrix(rho=solve_linear(a, RHS).reshape(4, 4))
-    dm.validate(a)
+    a.setflags(write=False)
+    dm = DensityMatrix(rho=solve_linear(a, RHS).reshape(4, 4), system_matrix=a)
+    dm.validate()
     return dm
 
 
-def steady_state_derivative(
-    p: SystemParams, dm: DensityMatrix, wrt: str
-) -> np.ndarray:
-    """Exact derivative d(rho)/d(theta) of the steady state ``dm`` of ``p``
-    with respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
+def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
+    """Exact derivative d(rho)/d(theta) of the steady state ``dm`` with
+    respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
 
     A(theta) x = b with A affine in theta and b fixed, so A dx = -B x with
     B = dA/dtheta the field's slice of the basis tensor: one more solve
-    with the matrix the steady state solve has already accepted.  Raises
-    ``SINGULAR`` when that matrix is singular, and ``BAD_SOLUTION`` from
-    :func:`_check_derivative`."""
+    with ``dm.system_matrix``, the matrix the steady state solve accepted.
+    Raises ``ValueError`` for an unknown field and for a state that carries
+    no matrix, ``SINGULAR`` when the matrix is singular, and
+    ``BAD_SOLUTION`` from :func:`_check_derivative`."""
     if wrt not in PARAM_FIELDS:
         raise ValueError(f"unknown parameter {wrt!r}")
-    a = assemble(p)
+    a = dm.system_matrix
+    if a is None:
+        raise ValueError("state carries no system matrix to differentiate")
     rhs = -(_basis()[1][PARAM_FIELDS.index(wrt)] @ dm.rho.reshape(16))
     try:
         dx = np.linalg.solve(a, rhs)
@@ -410,11 +416,3 @@ class _Resolvent:
         """The cross-check of a resolvent value against a direct solve."""
         return abs(value - reference) <= RESOLVENT_AGREEMENT_RTOL * scale
 
-
-def residual(p: SystemParams, dm: DensityMatrix) -> float:
-    """Max norm of ``A x - b`` at ``dm``: the time derivatives of every
-    entry and the trace defect.
-
-    Zero for a true steady state; used as an a-posteriori solve check.
-    """
-    return float(np.max(np.abs(assemble(p) @ dm.rho.reshape(16) - RHS)))

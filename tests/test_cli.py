@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from darkres import Method, chi_at, find_gain_threshold, run_sweep
+from darkres import Method, chi_at, find_gain_threshold, observables, run_sweep
 from darkres.cli import main
 from darkres.sweep import read_csv_rows
 
@@ -126,10 +126,13 @@ class TestExitCodes:
         assert out == ""
 
     def test_repeated_output_is_range_error(self, capsys):
-        code, out, err = run_cli(["sweep", "--set", "outputs=CHI_RE,CHI_RE"], capsys)
-        assert code == 2
-        assert "RANGE_ERROR" in err and "CHI_RE" in err
-        assert out == ""
+        for setting, message in (
+            ("outputs=CHI_RE,CHI_RE", "CHI_RE"), ("outputs=", "outputs must not be empty"),
+        ):
+            code, out, err = run_cli(["sweep", "--set", setting], capsys)
+            assert code == 2
+            assert "RANGE_ERROR" in err and message in err
+            assert out == ""
 
     def test_overflowing_linear_span_is_range_error(self, capsys):
         # both ends finite; stop - start is inf, or the LOG grid's last
@@ -148,6 +151,14 @@ class TestExitCodes:
         code, _, err = run_cli(["zero", "--config", str(spike_file)], capsys)
         assert code == 3
         assert "NO_SIGN_CHANGE" in err
+
+    def test_unverified_zero_is_numeric_error(self, pumped_file, capsys, monkeypatch):
+        # no |chi''| passes a negative verification bound
+        monkeypatch.setattr(observables, "ZERO_IM_TOL", -1.0)
+        code, out, err = run_cli(["zero", "--config", str(pumped_file)], capsys)
+        assert code == 3
+        assert "NO_CONVERGENCE" in err and "did not verify below tolerance" in err
+        assert out == ""
 
 
 class TestSpectrum:

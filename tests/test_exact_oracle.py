@@ -33,7 +33,7 @@ def off_by(got, want):
 def test_float_oracle_and_production_match_the_exact_solution(p):
     exact = exact_oracle.steady_state_and_derivative(p)
     dm = steady_state(p)
-    production = (dm.rho, steady_state_derivative(p, dm, "delta_p"))
+    production = (dm.rho, steady_state_derivative(dm, "delta_p"))
     assert max(off_by(oracle.steady_state_and_derivative(p), exact)) <= 1e-12
     assert max(off_by(production, exact)) <= 1e-14
 

@@ -12,7 +12,7 @@ PUBLIC = [
     "__version__",
     "SystemParams", "MediumParams",
     "DensityMatrix", "assemble", "solve_linear",
-    "steady_state", "steady_state_derivative", "residual",
+    "steady_state", "steady_state_derivative",
     "DressedStates", "dressed_states", "coupling_hamiltonian", "spike_half_width",
     "Method", "susceptibility", "chi_prefactor", "chi_at", "probe_coherence",
     "dispersion_slope", "group_index", "find_absorption_zero",

@@ -23,7 +23,7 @@ from darkres import (
     find_absorption_zero_auto,
     find_gain_threshold,
 )
-from darkres import observables, parse_config
+from darkres import observables, parse_config, run_sweep, sweep
 from darkres.model import WEAK_PROBE_FACTOR
 from darkres.observables import (
     SIGN_FLOOR,
@@ -187,6 +187,19 @@ def test_end_below_sign_floor_is_no_sign():
     with pytest.raises(NumericError) as exc:
         find_absorption_zero(PUMPED, MEDIUM, (z, 1e-3))
     assert exc.value.code == "NO_SIGN_CHANGE"
+
+
+def test_unverified_root_is_no_convergence(monkeypatch):
+    """A root whose |chi''| fails the verification bound is refused, in a
+    user bracket and in the automatic search, whose decade loop passes the
+    error on."""
+    monkeypatch.setattr(observables, "ZERO_IM_TOL", -1.0)
+    for finder, args in (
+        (find_absorption_zero, ((2e-4, 3e-4),)), (find_absorption_zero_auto, ()),
+    ):
+        with pytest.raises(NumericError, match="did not verify below tolerance") as exc:
+            finder(PUMPED, MEDIUM, *args)
+        assert exc.value.code == "NO_CONVERGENCE"
 
 
 def test_miss_costs_one_solve_and_one_resolvent(count_calls):
@@ -489,6 +502,24 @@ def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
     assert len(asked) >= 3
     assert [args[0].lambda_pump for args in direct] == asked[:1]
     assert star == pytest.approx(expected, rel=1e-10)
+
+
+def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
+    """One curve of the pump-scan figure at g42 = 4: the gain threshold,
+    then a DELTA0, SLOPE, NG sweep from just above it.  Each matrix is
+    assembled once, by the direct solve or the resolvent build that uses
+    it; derivatives and first-order seeds take it from the solved state."""
+    assert not hasattr(observables, "assemble") and not hasattr(sweep, "assemble")
+    assembles = count_calls("assemble", steady_state_module)
+    solves = count_calls("steady_state", observables, sweep)
+    builds = count_calls("_Resolvent", observables, sweep)
+    overrides = {"g42": "4", "outputs": "DELTA0,SLOPE,NG", "start": "1e-5"}
+    base = parse_config(GOLDEN["pump_config"], overrides)
+    star = find_gain_threshold(base.params, base.medium, tuple(GOLDEN["threshold_range"]))
+    spec = parse_config(GOLDEN["pump_config"], overrides | {"start": repr(1.01 * star)})
+    table = run_sweep(spec)
+    assert len(table.rows) == spec.points and not table.failures
+    assert len(assembles) == len(solves) + len(builds) > 0
 
 
 # --- the safeguarded Newton routine ---

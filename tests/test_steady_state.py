@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from darkres import (
     SystemParams,
     assemble,
     probe_coherence,
-    residual,
     solve_linear,
     steady_state,
     steady_state_derivative,
@@ -61,6 +60,28 @@ def walk_residual(p, dm):
     return max(worst, float(closure))
 
 
+def matrix_residual(a, dm):
+    """Max norm of ``a x - RHS`` at the state ``dm``."""
+    return float(np.max(np.abs(a @ dm.rho.reshape(16) - RHS)))
+
+
+def conserved_rho11_draws():
+    """306 seeded draws at g41 = g42 = gamma13 = 0, the other fields from
+    the general-draw ranges: nothing leaves or enters |1>, so rho11 is
+    conserved and no steady state is unique.  LAPACK's solve raises on
+    most of them, but returns a state that passes the gate on about 50."""
+    rng = np.random.default_rng(1)
+    return [
+        SystemParams(
+            g_p=rng.uniform(1e-5, 0.1), delta41=rng.uniform(-5, 5),
+            delta42=rng.uniform(-5, 5), delta_p=rng.uniform(-5, 5),
+            gamma41=rng.uniform(0.1, 2), gamma42=rng.uniform(0.1, 2),
+            gamma23=rng.uniform(0.01, 1), lambda_pump=rng.uniform(0, 0.05),
+        )
+        for _ in range(306)
+    ]
+
+
 class TestSolveLinear:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -86,6 +107,21 @@ class TestSolveLinear:
         with pytest.raises(NumericError) as exc:
             solve_linear(a, RHS)
         assert exc.value.code == "SINGULAR"
+        # the pivot threshold, not a LAPACK error, refuses the conserved
+        # rho11 draws, some of which LAPACK would solve
+        for p in conserved_rho11_draws():
+            with pytest.raises(NumericError) as exc:
+                steady_state(p)
+            assert exc.value.code == "SINGULAR", p
+
+    @pytest.mark.parametrize(
+        "shape, rhs",
+        [((2, 3), 2), ((3, 3), 2), ((3, 3), (3, 1))],
+        ids=["not-square", "short-rhs", "rhs-matrix"],
+    )
+    def test_shape_mismatch_rejected(self, shape, rhs):
+        with pytest.raises(ValueError, match="square with matching right-hand side"):
+            solve_linear(np.ones(shape, complex), np.ones(rhs, complex))
 
     def test_agrees_with_numpy_on_random_systems(self):
         """LAPACK as an oracle only: sizes 1..16, eigenvalues clustered
@@ -183,8 +219,7 @@ class TestAssemble:
         walks = count_calls("equations_of_motion", steady_state_module)
         for lam in (4e-5, 1e-4, 1e-3):
             p = replace(pumped_config, lambda_pump=lam)
-            steady_state_derivative(p, steady_state(p), "delta_p")
-            residual(p, steady_state(p))
+            steady_state_derivative(steady_state(p), "delta_p")
         assert len(walks) == 1 + len(PARAM_FIELDS)
 
 
@@ -225,7 +260,16 @@ class TestSteadyState:
             assert abs(dm.trace - 1.0) <= 1e-10
             pops = np.diag(dm.rho).real
             assert np.all(pops >= -1e-8) and np.all(pops <= 1 + 1e-8)
-            assert residual(p, dm) <= 1e-10
+            assert walk_residual(p, dm) <= 1e-10
+
+    def test_carries_the_matrix_it_solved(self, pumped_config):
+        """The matrix that the state solves is assemble(p), bit for bit,
+        read-only, and neither shown nor compared."""
+        dm = steady_state(pumped_config)
+        assert np.array_equal(dm.system_matrix, assemble(pumped_config))
+        assert not dm.system_matrix.flags.writeable
+        assert "system_matrix" not in repr(dm)
+        assert "system_matrix" not in [f.name for f in fields(dm) if f.compare]
 
     def test_matches_superoperator_oracle(self):
         rng = np.random.default_rng(11)
@@ -311,8 +355,11 @@ class TestBackwardError:
         def perturbed(matrix, rhs):
             return exact(matrix, rhs) * (1 + 1e-12)
 
-        x = perturbed(assemble(pumped_config), RHS)
+        a = assemble(pumped_config)
+        x = perturbed(a, RHS)
         DensityMatrix(rho=x.reshape(4, 4)).validate()
+        with pytest.raises(NumericError, match="backward error"):
+            DensityMatrix(rho=x.reshape(4, 4), system_matrix=a).validate()
         monkeypatch.setattr(steady_state_module, "solve_linear", perturbed)
         with pytest.raises(NumericError) as exc:
             steady_state(pumped_config)
@@ -331,7 +378,7 @@ class TestBackwardError:
 
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericError) as exc:
-            steady_state_derivative(pumped_config, dm, "delta_p")
+            steady_state_derivative(dm, "delta_p")
         assert exc.value.code == "BAD_SOLUTION"
         assert "backward error" in str(exc.value)
 
@@ -372,7 +419,7 @@ class TestDerivative:
     @pytest.mark.parametrize("wrt, h", [("delta_p", 1e-8), ("lambda_pump", 1e-9)])
     def test_matches_central_difference(self, pumped_config, wrt, h):
         p = replace(pumped_config, delta_p=1e-4)
-        exact = steady_state_derivative(p, steady_state(p), wrt)
+        exact = steady_state_derivative(steady_state(p), wrt)
         value = getattr(p, wrt)
         plus = steady_state(replace(p, **{wrt: value + h})).rho
         minus = steady_state(replace(p, **{wrt: value - h})).rho
@@ -388,7 +435,7 @@ class TestDerivative:
             p = random_valid_params(rng)
             dm = steady_state(p)
             for wrt in PARAM_FIELDS:
-                exact = steady_state_derivative(p, dm, wrt)
+                exact = steady_state_derivative(dm, wrt)
                 h = 1e-6 * max(1.0, abs(getattr(p, wrt)))
                 plus = steady_state(replace(p, **{wrt: getattr(p, wrt) + h})).rho
                 minus = steady_state(replace(p, **{wrt: getattr(p, wrt) - h})).rho
@@ -397,37 +444,47 @@ class TestDerivative:
                 assert np.max(np.abs(central - exact)) <= 1e-4 * scale, wrt
 
     def test_bare_state_matches_solved_state(self, pumped_config):
-        """The derivative depends on the state's entries alone: a bare
-        DensityMatrix with the same rho gives exactly the same result."""
+        """The derivative depends on the state's entries and matrix alone:
+        a bare DensityMatrix with the same rho and assemble(p) gives
+        exactly the same result."""
         rng = np.random.default_rng(3)
         for p in (pumped_config, random_valid_params(rng), random_valid_params(rng)):
             dm = steady_state(p)
-            bare = DensityMatrix(rho=dm.rho.copy())
+            bare = DensityMatrix(rho=dm.rho.copy(), system_matrix=assemble(p))
             for wrt in PARAM_FIELDS:
-                solved = steady_state_derivative(p, dm, wrt)
-                assert np.array_equal(solved, steady_state_derivative(p, bare, wrt)), wrt
+                solved = steady_state_derivative(dm, wrt)
+                assert np.array_equal(solved, steady_state_derivative(bare, wrt)), wrt
 
     def test_singular_system_rejected(self):
         p = SystemParams()  # everything zero: only the trace row survives
-        bare = DensityMatrix(rho=np.diag([0, 0, 1, 0]).astype(complex))
+        rho = np.diag([0, 0, 1, 0]).astype(complex)
+        bare = DensityMatrix(rho=rho, system_matrix=assemble(p))
         with pytest.raises(NumericError) as exc:
-            steady_state_derivative(p, bare, "delta_p")
+            steady_state_derivative(bare, "delta_p")
         assert exc.value.code == "SINGULAR"
 
+    def test_state_without_matrix_rejected(self, pumped_config):
+        bare = DensityMatrix(rho=steady_state(pumped_config).rho)
+        with pytest.raises(ValueError, match="no system matrix"):
+            steady_state_derivative(bare, "delta_p")
+
     def test_hermitian_and_traceless(self, pumped_config):
-        d = steady_state_derivative(pumped_config, steady_state(pumped_config), "g42")
+        d = steady_state_derivative(steady_state(pumped_config), "g42")
         assert np.max(np.abs(d - d.conj().T)) <= 1e-12 * np.max(np.abs(d))
         assert abs(np.trace(d)) <= 1e-12 * np.max(np.abs(d))
 
     def test_nan_state_rejected(self, pumped_config):
         rho = np.full((4, 4), np.nan, dtype=complex)
+        bare = DensityMatrix(rho=rho, system_matrix=assemble(pumped_config))
         with pytest.raises(NumericError) as exc:
-            steady_state_derivative(pumped_config, DensityMatrix(rho=rho), "delta_p")
+            steady_state_derivative(bare, "delta_p")
         assert exc.value.code == "BAD_SOLUTION"
 
     def test_unknown_field(self, pumped_config):
-        with pytest.raises(ValueError):
-            steady_state_derivative(pumped_config, steady_state(pumped_config), "g43")
+        # checked first, so a state without a matrix gets the same message
+        for dm in (steady_state(pumped_config), DensityMatrix(rho=np.eye(4) / 4)):
+            with pytest.raises(ValueError, match="^unknown parameter 'g43'$"):
+                steady_state_derivative(dm, "g43")
 
 
 class TestResolvent:
@@ -445,7 +502,7 @@ class TestResolvent:
         x, dx = resolvent.state_and_derivative(lam)
         p = replace(spike_config, lambda_pump=lam)
         dm = steady_state(p)
-        want = steady_state_derivative(p, dm, "lambda_pump").reshape(16)
+        want = steady_state_derivative(dm, "lambda_pump").reshape(16)
         assert np.max(np.abs(x - dm.rho.reshape(16))) <= 1e-13
         assert np.max(np.abs(dx - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -472,13 +529,18 @@ class TestResolvent:
 
 
 class TestResidual:
+    """The residual A x - b of a state, as the equation walk and as the
+    assembled matrix give it."""
+
     def test_zero_for_solved_state(self, undriven_coupling):
         dm = steady_state(undriven_coupling)
-        assert residual(undriven_coupling, dm) <= 1e-10
+        assert walk_residual(undriven_coupling, dm) <= 1e-10
+        assert matrix_residual(dm.system_matrix, dm) <= 1e-10
 
     def test_large_for_maximally_mixed(self, undriven_coupling):
         dm = DensityMatrix(rho=np.eye(4, dtype=complex) / 4)
-        assert residual(undriven_coupling, dm) > 1e-2
+        assert walk_residual(undriven_coupling, dm) > 1e-2
+        assert matrix_residual(assemble(undriven_coupling), dm) > 1e-2
 
     def test_matches_equation_walk(self):
         rng = np.random.default_rng(25)
@@ -486,10 +548,11 @@ class TestResidual:
         p = random_valid_params(rng)
         cases.append((p, DensityMatrix(rho=np.eye(4, dtype=complex) / 4)))
         for p, dm in cases:
-            assert abs(residual(p, dm) - walk_residual(p, dm)) <= 1e-14
+            assert abs(matrix_residual(assemble(p), dm) - walk_residual(p, dm)) <= 1e-14
         assert walk_residual(*cases[-1]) > 1e-2
 
     def test_exactly_zero_for_ground_state_without_couplings(self):
         p = SystemParams()
         dm = DensityMatrix(rho=np.diag([0, 0, 1, 0]).astype(complex))
-        assert residual(p, dm) == 0.0
+        assert walk_residual(p, dm) == 0.0
+        assert matrix_residual(assemble(p), dm) == 0.0

@@ -112,6 +112,21 @@ class TestValidation:
         assert str(exc.value) == "output CHI_RE repeated"
 
     @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(axis=Axis.LAMBDA, start=-1e-6), "LAMBDA axis must be >= 0"),
+            (dict(axis=Axis.G42, start=-1.0), "G42 axis must be >= 0"),
+            (dict(outputs=()), "outputs must not be empty"),
+        ],
+        ids=["negative-pump", "negative-drive", "no-outputs"],
+    )
+    def test_negative_rate_axis_and_empty_outputs_rejected(self, spectrum_spec, changes, message):
+        with pytest.raises(ConfigError) as exc:
+            replace(spectrum_spec, **changes).validate()
+        assert exc.value.code == "RANGE_ERROR"
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
         "start, stop, spacing",
         [
             pytest.param(-1e308, 1e308, Spacing.LINEAR, id="-1e+308-1e+308"),
