@@ -25,8 +25,7 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import DensityMatrix, _basis, _index, _Resolvent, steady_state
-from .steady_state import steady_state_derivative
+from .steady_state import _basis, _index, _Resolvent, steady_state, steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -231,25 +230,24 @@ def _im_chi_crossing(
     the numeric chi'' changes sign: both ends must carry a sign, else
     ``NO_SIGN_CHANGE`` saying ``no_sign_change``; then safeguarded Newton
     on the exact derivative along ``field``, to relative tolerance ``tol``
-    in x, or in u = ln(x) when ``in_log``.  The ends' states and the
-    iterates come from the resolvent built at lo, used only if it accepts
-    both ends and its chi at hi agrees with ``chi_at``; when it is not
-    used, lo is solved directly too, so that everything follows the direct
-    route, and an iterate it refuses alone is solved directly."""
+    in x, or in u = ln(x) when ``in_log``.  The lower end and the iterates
+    come from the resolvent built at lo, used only if it accepts lo and
+    its chi at hi passes :meth:`_Resolvent.agrees` against ``chi_at``
+    there; when it is not used, lo is solved directly too, so that
+    everything follows the direct route, and an iterate it refuses alone
+    is solved directly."""
     p_lo = replace(p, **{field: lo})
     try:
         resolvent = _Resolvent(p_lo, field)  # raises TRAPPED as steady_state
     except np.linalg.LinAlgError:
-        ok = [False]
-    else:
-        x, ok = resolvent.states(np.array([lo, hi]))
-    if all(ok):
-        chi_lo, check = susceptibility(x[:, _index(2, 3)], m, p.g_p).tolist()
-    else:
-        resolvent, chi_lo = None, chi_at(p_lo, m)
+        resolvent = None
     chi_hi = chi_at(replace(p, **{field: hi}), m)
-    if resolvent is not None and not resolvent.agrees(check, chi_hi, max(abs(chi_lo), abs(chi_hi))):
-        resolvent, chi_lo = None, chi_at(p_lo, m)
+    if resolvent is not None:
+        x, ok = resolvent.states(np.array([lo, hi]))
+        chi = susceptibility(x[:, _index(2, 3)], m, p.g_p)
+        if not (ok[0] and resolvent.agrees(chi, ok, 1, chi_hi)):
+            resolvent = None
+    chi_lo = chi_at(p_lo, m) if resolvent is None else complex(chi[0])
     f_lo, f_hi = chi_lo.imag, chi_hi.imag
     # each end must carry a sign (above SIGN_FLOOR), and the signs differ
     if not (abs(f_lo) > SIGN_FLOOR and abs(f_hi) > SIGN_FLOOR and f_lo * f_hi < 0):
@@ -308,10 +306,10 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     adj(M) r, where t = tr M, e2 = (t^2 - tr M^2) / 2 and adj(M) = M^2 -
     t M + e2 I.  Im(N / D) vanishes at the real roots of the real
     polynomial Im(N conj(D)) in delta, of degree <= 5.  One gated solve,
-    for x0, kept for the other side with the matrix M is sliced from.
+    for x0, on every call; M is sliced from the matrix it carries.
     Raises ``NO_SIGN_CHANGE`` when no real root lies on the side.
     """
-    dm0 = _probe_free_state(replace(p, g_p=0.0, delta_p=0.0))
+    dm0 = steady_state(replace(p, g_p=0.0, delta_p=0.0))
     r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ dm0.rho.reshape(16))[_PROBE_BLOCK]
     m = dm0.system_matrix[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
     m2 = m @ m
@@ -328,12 +326,6 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     if not real:
         raise NumericError("no first-order crossing on this side", code="NO_SIGN_CHANGE")
     return float(min(real, key=abs))
-
-
-@lru_cache(maxsize=1)
-def _probe_free_state(p0: SystemParams) -> DensityMatrix:
-    """The steady state of ``p0`` (g_p = 0), kept."""
-    return steady_state(p0)
 
 
 def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:

@@ -412,7 +412,11 @@ class _Resolvent:
         return x, dx
 
     @staticmethod
-    def agrees(value: complex, reference: complex, scale: float) -> bool:
-        """The cross-check of a resolvent value against a direct solve."""
-        return abs(value - reference) <= RESOLVENT_AGREEMENT_RTOL * scale
+    def agrees(chi: np.ndarray, ok: np.ndarray, far: int, reference: complex) -> bool:
+        """The cross-check of the resolvent against a direct solve: row
+        ``far`` of its values ``chi`` passed the gate (mask ``ok``) and lies
+        within ``RESOLVENT_AGREEMENT_RTOL`` of the direct ``reference``,
+        relative to the largest |chi| of the rows the gate accepted."""
+        scale = np.max(np.abs(chi[ok]), initial=0.0)
+        return bool(ok[far]) and abs(chi[far] - reference) <= RESOLVENT_AGREEMENT_RTOL * scale
 

@@ -224,8 +224,8 @@ def _resolvent_sweep(
     resolvent built at the middle grid point, or None when the route does
     not apply to the whole sweep: when the resolvent (at a trapped base
     too) or the cross-check solve at the last grid point (no nearer the
-    base than the first) raises, or when that point is refused or its chi
-    disagrees with the cross-check relative to the largest accepted |chi|.
+    base than the first) raises, or when :meth:`_Resolvent.agrees` refuses
+    that point against the cross-check.
     A point it refuses, the base too, and lambda = 0 (which may trap), is
     evaluated on its own."""
     field = _AXIS_FIELD[spec.axis]
@@ -258,8 +258,7 @@ def _resolvent_sweep(
                     columns.extend(x[:, _POPULATIONS].real.T)
             rows.extend(map(tuple, np.column_stack(columns).tolist()))
 
-    worst = np.max(np.abs(chi[accepted]), initial=0.0)
-    if not (accepted[far] and resolvent.agrees(chi[far], chi_far, worst)):
+    if not resolvent.agrees(chi, accepted, far, chi_far):
         return None
     return [
         (value, row, None) if ok else _evaluate_point(spec, value)

@@ -31,11 +31,9 @@ MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
 
 @pytest.fixture(autouse=True)
 def fresh_evaluation_cache():
-    """Start every test without the last numeric chi evaluation or the last
-    probe-free seed state, so no test's solve counts or values depend on
-    an earlier test."""
+    """Start every test without the last numeric chi evaluation, so no
+    test's solve counts or values depend on an earlier test."""
     observables._chi_and_derivative.cache_clear()
-    observables._probe_free_state.cache_clear()
 
 
 @pytest.fixture

@@ -204,6 +204,17 @@ class TestZeroAndThreshold:
         assert values[0] == pytest.approx(-2.624e-4, rel=1e-3)
         assert values[1] == pytest.approx(+2.624e-4, rel=1e-3)
 
+    def test_zero_solve_budget(self, pumped_file, capsys, count_calls):
+        # per side: the probe-free seed state, the upper end and the
+        # verification; the lower end and the iterates come from the
+        # resolvent
+        from darkres import sweep
+
+        solves = count_calls("steady_state", observables, sweep)
+        code, _, _ = run_cli(["zero", "--config", str(pumped_file)], capsys)
+        assert code == 0
+        assert len(solves) <= 6
+
     def test_threshold(self, spike_file, capsys):
         code, out, _ = run_cli(["threshold", "--config", str(spike_file)], capsys)
         assert code == 0

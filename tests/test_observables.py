@@ -7,10 +7,12 @@ import pytest
 from darkres import (
     Axis,
     ConfigError,
+    MediumParams,
     Method,
     NumericError,
     ParameterError,
     SweepSpec,
+    SystemParams,
     auto_zero_bracket,
     chi_at,
     chi_prefactor,
@@ -216,6 +218,11 @@ class TestDispersionSlope:
         # so is its slope
         with pytest.raises(NumericError) as exc:
             dispersion_slope(spike_config, mercury_medium, 0.0, Method.ANALYTIC_PUMP)
+        assert exc.value.code == "DIVISION_DEGENERATE"
+        # without coupling field and pump its prefactor is undefined too
+        p = SystemParams(g_p=1e-4, delta_p=1.0, gamma23=0.14)
+        with pytest.raises(NumericError, match="prefactor denominator vanished") as exc:
+            chi_at(p, MediumParams(), method=Method.ANALYTIC_PUMP)
         assert exc.value.code == "DIVISION_DEGENERATE"
 
 

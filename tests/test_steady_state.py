@@ -515,6 +515,24 @@ class TestResolvent:
         assert ok[0]
         assert resolvent.state_and_derivative(1e-4) is None
 
+    def test_refused_state_refuses_the_pair(self, refuse_resolvent_gate, resolvent):
+        refuse_resolvent_gate("BACKWARD_TOL", 0.0)
+        _, ok = resolvent.states(np.array([1e-4]))
+        assert not ok[0]
+        assert resolvent.state_and_derivative(1e-4) is None
+
+    def test_agreement_scale_takes_accepted_rows_only(self):
+        agrees = steady_state_module._Resolvent.agrees
+        chi = np.array([1e300, 1.0, 1.0 + 1e-13], dtype=complex)
+        ok = np.array([False, True, True])
+        assert agrees(chi, ok, 2, 1.0)
+        # within 1e-12 of the refused row's |chi|, but not of the accepted ones
+        assert not agrees(chi, ok, 2, 1.0 + 1e-11)
+        # a refused far row is refused whatever its value
+        for value in (1.0, np.nan, np.inf):
+            far = np.array([1.0, 1.0, value], dtype=complex)
+            assert not agrees(far, np.array([True, True, False]), 2, 1.0)
+
     def test_ill_conditioned_eigenbasis_refused(self, monkeypatch, spike_config):
         monkeypatch.setattr(steady_state_module, "RESOLVENT_COND_MAX", 1.0)
         p = replace(spike_config, lambda_pump=1e-8)
