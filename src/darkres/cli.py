@@ -20,7 +20,9 @@ from typing import IO
 
 from .analytic import dressed_states
 from .errors import ConfigError, NumericError, SimulationError
-from .observables import Method, find_absorption_zero_auto, find_gain_threshold
+from .observables import Method, _is_weak_probe, _probe_free
+from .observables import find_absorption_zero_auto, find_gain_threshold
+from .steady_state import steady_state
 from .sweep import (
     Axis,
     Output,
@@ -117,12 +119,20 @@ def _cmd_sweep(spec: SweepSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_zero(spec: SweepSpec, args: argparse.Namespace) -> int:
+    # one probe-free state seeds both sides; if its solve raises, each side
+    # solves its own and the finder reports the error as before
+    probe_free = None
+    if _is_weak_probe(spec.params):
+        try:
+            probe_free = steady_state(_probe_free(spec.params))
+        except SimulationError:
+            pass
     crossings: list[float] = []
     for side in (-1, +1):
         try:
-            crossings.append(
-                find_absorption_zero_auto(spec.params, spec.medium, side=side)
-            )
+            crossings.append(find_absorption_zero_auto(
+                spec.params, spec.medium, side=side, probe_free=probe_free
+            ))
         except NumericError as exc:
             if exc.code != "NO_SIGN_CHANGE":
                 raise

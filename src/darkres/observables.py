@@ -25,7 +25,8 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import _basis, _index, _Resolvent, steady_state, steady_state_derivative
+from .steady_state import DensityMatrix, _basis, _index, _Resolvent, steady_state
+from .steady_state import steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -292,9 +293,22 @@ def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
     return (0.0, 10.0 * scale)
 
 
-def _first_order_zero(p: SystemParams, side: int) -> float:
+def _probe_free(p: SystemParams) -> SystemParams:
+    """``p`` without the probe (g_p = delta_p = 0): the parameters of the
+    state that seeds the zero finder."""
+    return replace(p, g_p=0.0, delta_p=0.0)
+
+
+def _is_weak_probe(p: SystemParams) -> bool:
+    """Whether the probe of ``p`` is weak, so that the zero finder seeds
+    its search from the first-order crossing."""
+    return p.g_p <= WEAK_PROBE_FACTOR * p.gamma23
+
+
+def _first_order_zero(dm0: DensityMatrix, side: int) -> float:
     """Detuning nearest 0 on the ``side`` half-axis at which chi'' vanishes
-    to first order in the probe field.
+    to first order in the probe field, from the probe-free state ``dm0``
+    (g_p = delta_p = 0) and the matrix it carries.
 
     At g_p = 0 the block S = (rho13, rho23, rho43) of the matrix has no
     entries outside S, the probe detuning enters it as +i delta on its
@@ -305,11 +319,12 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     and N the rho23 entry of adj(M + z I) r = z^2 r + z (t r - M r) +
     adj(M) r, where t = tr M, e2 = (t^2 - tr M^2) / 2 and adj(M) = M^2 -
     t M + e2 I.  Im(N / D) vanishes at the real roots of the real
-    polynomial Im(N conj(D)) in delta, of degree <= 5.  One gated solve,
-    for x0, on every call; M is sliced from the matrix it carries.
-    Raises ``NO_SIGN_CHANGE`` when no real root lies on the side.
+    polynomial Im(N conj(D)) in delta, of degree <= 4: its delta^5
+    coefficient, -Re r[rho23] = Im(rho22 - rho33), is zero for a Hermitian
+    x0 and is dropped, since its round-off would be a spurious root that
+    moves the others.  Solves nothing.  Raises ``NO_SIGN_CHANGE`` when no
+    real root lies on the side.
     """
-    dm0 = steady_state(replace(p, g_p=0.0, delta_p=0.0))
     r = -(_basis()[1][PARAM_FIELDS.index("g_p")] @ dm0.rho.reshape(16))[_PROBE_BLOCK]
     m = dm0.system_matrix[np.ix_(_PROBE_BLOCK, _PROBE_BLOCK)]
     m2 = m @ m
@@ -321,22 +336,26 @@ def _first_order_zero(p: SystemParams, side: int) -> float:
     den = np.array([-1j, -t, 1j * e2, det])
     num = np.array([-r[1], 1j * (t * r[1] - (m @ r)[1]), (adj @ r)[1]])
     sign = 1.0 if side >= 0 else -1.0
-    roots = np.roots(np.convolve(num, den.conj()).imag)
+    roots = np.roots(np.convolve(num, den.conj()).imag[1:])
     real = [z.real for z in roots if z.imag == 0 and sign * z.real > 0]
     if not real:
         raise NumericError("no first-order crossing on this side", code="NO_SIGN_CHANGE")
     return float(min(real, key=abs))
 
 
-def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:
+def _seed_bracket(
+    p: SystemParams, side: int, reach: float, probe_free: DensityMatrix | None
+) -> tuple[float, float] | None:
     """Bracket on the positive half-axis, +-``_SEED_BRACKET_REL`` relative
-    around |first-order crossing|, or None: for a probe that is not weak,
-    when the crossing cannot be computed, and when it lies beyond
-    ``reach``."""
-    if not p.g_p <= WEAK_PROBE_FACTOR * p.gamma23:
+    around |first-order crossing| from the state ``probe_free`` (solved
+    here when None), or None: for a probe that is not weak, when the
+    crossing cannot be computed, and when it lies beyond ``reach``."""
+    if not _is_weak_probe(p):
         return None
     try:
-        d1 = abs(_first_order_zero(p, side))
+        if probe_free is None:
+            probe_free = steady_state(_probe_free(p))
+        d1 = abs(_first_order_zero(probe_free, side))
     except NumericError:
         return None
     if not d1 <= reach:
@@ -386,6 +405,8 @@ def find_absorption_zero_auto(
     p: SystemParams,
     m: MediumParams,
     side: int = +1,
+    *,
+    probe_free: DensityMatrix | None = None,
 ) -> float:
     """Locate a vanishing-absorption detuning without a user bracket.
 
@@ -401,14 +422,17 @@ def find_absorption_zero_auto(
     widths out (the gain wing decays slowly against a background
     suppressed by optical pumping), beyond any fixed small multiple of the
     feature scale.  A first-order crossing beyond the widest decade
-    bracket is not tried.
+    bracket is not tried.  The seed is read off ``probe_free``, the steady
+    state of ``p`` at g_p = delta_p = 0 with the matrix it solves, as
+    :func:`steady_state` or a resolvent gives it; when None it is solved
+    here.
     """
     lo, hi = auto_zero_bracket(p)
     decades = [(lo, hi)]
     for _ in range(ZERO_BRACKET_EXPANSIONS):
         hi *= 10.0
         decades.append((lo, hi))
-    seed = _seed_bracket(p, side, hi)
+    seed = _seed_bracket(p, side, hi, probe_free)
     for bracket in ([seed] if seed else []) + decades:
         a, b = bracket
         try:

@@ -10,7 +10,10 @@ Grid points are not evaluated independently when the outputs are all read
 off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): they come from
 the resolvent along the sweep axis (``steady_state._Resolvent``) built at
 the middle grid point, and a point it refuses falls back to its own solve;
-other sweeps solve point by point.
+other sweeps solve point by point.  A DELTA0 sweep with a weak probe
+takes the probe-free states that seed its zero searches from one such
+resolvent, built at the middle point's probe-free parameters; a point it
+refuses solves its own.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -30,13 +34,15 @@ from .errors import ConfigError, NumericError, ParameterError, SimulationError
 from .model import MediumParams, SystemParams
 from .observables import (
     Method,
+    _is_weak_probe,
+    _probe_free,
     chi_at,
     dispersion_slope,
     find_absorption_zero_auto,
     group_index,
     susceptibility,
 )
-from .steady_state import _index, _Resolvent, steady_state
+from .steady_state import DensityMatrix, _index, _Resolvent, steady_state
 
 
 class Axis(str, Enum):
@@ -171,9 +177,10 @@ def _point_params(spec: SweepSpec, x: float) -> SystemParams:
 
 
 def _evaluate_point(
-    spec: SweepSpec, x: float
+    spec: SweepSpec, x: float, probe_free: DensityMatrix | None = None
 ) -> tuple[float, tuple[float, ...] | None, str | None]:
-    """Compute all requested outputs at one axis value.
+    """Compute all requested outputs at one axis value (DELTA0 seeded from
+    the point's probe-free state ``probe_free`` when given).
 
     Returns (x, row, None) on success or (x, None, error_code) when any
     requested output fails numerically.
@@ -183,7 +190,7 @@ def _evaluate_point(
         values: list[float] = [x]
         delta0: float | None = None
         if Output.DELTA0 in spec.outputs:
-            delta0 = find_absorption_zero_auto(p, spec.medium)
+            delta0 = find_absorption_zero_auto(p, spec.medium, probe_free=probe_free)
         eval_dp = delta0 if delta0 is not None else p.delta_p
         chi = dm = None
         if Output.CHI_RE in spec.outputs or Output.CHI_IM in spec.outputs:
@@ -217,6 +224,20 @@ def _evaluate_point(
         return x, None, exc.code
 
 
+def _resolvent_blocks(
+    resolvent: _Resolvent, field: str, axis: np.ndarray
+) -> Iterable[tuple[slice, np.ndarray, np.ndarray]]:
+    """(block, states, accepted) of the resolvent at the values ``axis`` of
+    ``field``, ``RESOLVENT_CHUNK`` rows at a time; a row is accepted when
+    it passes the gate, and never at lambda = 0, which may trap."""
+    for lo in range(0, len(axis), RESOLVENT_CHUNK):
+        block = slice(lo, lo + RESOLVENT_CHUNK)
+        x, ok = resolvent.states(axis[block])
+        if field == "lambda_pump":
+            ok &= axis[block] > 0
+        yield block, x, ok
+
+
 def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
@@ -226,8 +247,7 @@ def _resolvent_sweep(
     too) or the cross-check solve at the last grid point (no nearer the
     base than the first) raises, or when :meth:`_Resolvent.agrees` refuses
     that point against the cross-check.
-    A point it refuses, the base too, and lambda = 0 (which may trap), is
-    evaluated on its own."""
+    A point it refuses (:func:`_resolvent_blocks`) is evaluated on its own."""
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
@@ -238,15 +258,13 @@ def _resolvent_sweep(
         return None
 
     axis = np.array(grid)
-    accepted = axis > 0 if field == "lambda_pump" else np.ones(len(grid), dtype=bool)
+    accepted = np.empty(len(grid), dtype=bool)
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
     # rejected rows may hold inf or NaN, which the gates have refused
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, len(grid), RESOLVENT_CHUNK):
-            block = slice(lo, lo + RESOLVENT_CHUNK)
-            x, ok = resolvent.states(axis[block])
-            accepted[block] &= ok
+        for block, x, ok in _resolvent_blocks(resolvent, field, axis):
+            accepted[block] = ok
             chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
             columns = [axis[block]]
             for out in spec.outputs:
@@ -266,6 +284,25 @@ def _resolvent_sweep(
     ]
 
 
+def _probe_free_states(spec: SweepSpec, grid: list[float]) -> Iterable[DensityMatrix | None]:
+    """Each grid point's probe-free state (g_p = delta_p = 0), which seeds
+    its zero search, with its matrix, from the resolvent built at the
+    middle point's; None where it refuses the row, everywhere when it
+    raises.  The seed takes the matrix at delta_p = 0, so a DELTA_P sweep
+    reads every point there: delta_p does not move the state."""
+    field = _AXIS_FIELD[spec.axis]
+    try:
+        resolvent = _Resolvent(_probe_free(_point_params(spec, grid[(len(grid) - 1) // 2])), field)
+    except (SimulationError, np.linalg.LinAlgError):
+        return repeat(None, len(grid))
+    axis = np.zeros(len(grid)) if field == "delta_p" else np.array(grid)
+    return (
+        DensityMatrix(row.reshape(4, 4), resolvent.matrix(s)) if ok else None
+        for block, x, accepted in _resolvent_blocks(resolvent, field, axis)
+        for row, s, ok in zip(x, axis[block].tolist(), accepted.tolist())
+    )
+
+
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep in grid order.
 
@@ -274,7 +311,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     grid points are not evaluated independently, and its values agree
     with per-point ``chi_at`` and ``steady_state`` to about 1e-12 relative
     rather than bit for bit.  Points the route's gates reject, and every
-    other sweep, are evaluated point by point.  Per-point numeric failures
+    other sweep, are evaluated point by point; with a weak probe, a
+    DELTA0 sweep seeds each point's zero search from
+    :func:`_probe_free_states`.  Per-point numeric failures
     (for example NO_SIGN_CHANGE from the absorption-zero finder below the
     gain onset) are recorded in the failure log and excluded from the
     rows; spec-level validation errors are fatal.
@@ -285,7 +324,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.method is Method.NUMERIC and _RESOLVENT_OUTPUTS.issuperset(spec.outputs):
         results = _resolvent_sweep(spec, grid)
     if results is None:
-        results = [_evaluate_point(spec, x) for x in grid]
+        seeds = repeat(None)
+        if Output.DELTA0 in spec.outputs and _is_weak_probe(spec.params):
+            seeds = _probe_free_states(spec, grid)
+        results = [_evaluate_point(spec, x, dm0) for x, dm0 in zip(grid, seeds)]
 
     columns = [_AXIS_COLUMN[spec.axis]]
     for out in spec.outputs:

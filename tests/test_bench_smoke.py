@@ -31,13 +31,15 @@ def test_one_traced_pass(workload):
         # the cross-check at the far end of the grid
         assert metrics["steady_state.calls"] <= 1
     if workload == "pump_scan":
-        # every zero search hits on its first, seeded bracket; both ends'
-        # states and the Newton iterates of each search come from the
-        # resolvent built at its lower end, and the slope and group index
-        # at delta0 reuse its verification solve: 48 solves a pass at seed
-        # 0 (one probe-free seed solve and one upper end per zero, one
-        # verification per root, one upper end per threshold), 66 with a
-        # direct solve at each lower end, 115 with a solve per iterate,
-        # 145 without that reuse, and 216 with the decade search alone
-        assert metrics["steady_state.calls"] <= 48
+        # every zero search hits on its first, seeded bracket, whose
+        # probe-free state comes from one resolvent along the sweep; both
+        # ends' states and the Newton iterates of each search come from
+        # the resolvent built at its lower end, and the slope and group
+        # index at delta0 reuse its verification solve: 33 solves a pass
+        # at seed 0 (one upper end per zero, one verification per root,
+        # one upper end per threshold), 48 with a probe-free solve per
+        # zero, 66 with a direct solve at each lower end, 115 with a solve
+        # per iterate, 145 without that reuse, and 216 with the decade
+        # search alone
+        assert metrics["steady_state.calls"] <= 33
         assert metrics["observables.find_absorption_zero_auto.bracket_hit_ratio"] == 1.0

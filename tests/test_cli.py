@@ -205,15 +205,16 @@ class TestZeroAndThreshold:
         assert values[1] == pytest.approx(+2.624e-4, rel=1e-3)
 
     def test_zero_solve_budget(self, pumped_file, capsys, count_calls):
-        # per side: the probe-free seed state, the upper end and the
-        # verification; the lower end and the iterates come from the
-        # resolvent
-        from darkres import sweep
+        # one probe-free seed state for both sides, then per side the
+        # upper end and the verification; the lower end and the iterates
+        # come from the resolvent
+        import darkres
+        from darkres import cli, sweep
 
-        solves = count_calls("steady_state", observables, sweep)
+        solves = count_calls("steady_state", darkres, observables, sweep, cli)
         code, _, _ = run_cli(["zero", "--config", str(pumped_file)], capsys)
         assert code == 0
-        assert len(solves) <= 6
+        assert len(solves) <= 5
 
     def test_threshold(self, spike_file, capsys):
         code, out, _ = run_cli(["threshold", "--config", str(spike_file)], capsys)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from darkres import (
+    DensityMatrix,
     MediumParams,
     NumericError,
     SystemParams,
@@ -22,6 +23,7 @@ from darkres import (
     find_absorption_zero,
     find_absorption_zero_auto,
     find_gain_threshold,
+    steady_state,
 )
 from darkres import observables, parse_config, run_sweep, sweep
 from darkres.model import WEAK_PROBE_FACTOR
@@ -302,12 +304,18 @@ def test_seed_finds_a_crossing_of_a_pair_the_decades_straddle():
     assert abs(chi_at(p, MEDIUM, root).imag) <= ZERO_IM_TOL
 
 
+def first_order_zero(p, side):
+    """The first-order crossing at ``p`` from its directly solved
+    probe-free state."""
+    return _first_order_zero(steady_state(observables._probe_free(p)), side)
+
+
 def test_first_order_gap_shrinks_as_probe_squared():
     gaps = []
     for g_p in (5e-5, 1e-4, 2e-4, 4e-4):
         p = replace(PUMPED, g_p=g_p)
         exact = find_absorption_zero(p, MEDIUM, (1e-5, 1e-3))
-        gaps.append(abs(_first_order_zero(p, +1) - exact) / exact)
+        gaps.append(abs(first_order_zero(p, +1) - exact) / exact)
     assert gaps[1] < 1e-5
     for smaller, larger in zip(gaps, gaps[1:]):
         assert larger / smaller == pytest.approx(4.0, rel=0.02)
@@ -316,8 +324,21 @@ def test_first_order_gap_shrinks_as_probe_squared():
 def test_seed_does_not_depend_on_probe_detuning():
     # the probe detuning does not enter the probe-free state
     cases = [(0.0, +1), (0.0, -1), (3e-4, +1)]
-    plus, minus, again = (_first_order_zero(replace(PUMPED, delta_p=dp), s) for dp, s in cases)
+    plus, minus, again = (first_order_zero(replace(PUMPED, delta_p=dp), s) for dp, s in cases)
     assert minus < 0 < plus == again
+
+
+@pytest.mark.parametrize("p", [PUMPED, replace(PUMPED, g42=4.0, lambda_pump=2e-5)])
+def test_seed_ignores_round_off_in_the_populations(p):
+    # Im(rho22 - rho33) is the delta^5 coefficient of the seed polynomial,
+    # zero for a Hermitian state; its round-off must not become a root
+    dm0 = steady_state(observables._probe_free(p))
+    rho = dm0.rho.copy()
+    rho[1, 1] += 1e-30j
+    noisy = DensityMatrix(rho, system_matrix=dm0.system_matrix)
+    for side in (+1, -1):
+        exact = _first_order_zero(dm0, side)
+        assert _first_order_zero(noisy, side) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("side", [+1, -1])

@@ -10,6 +10,7 @@ from darkres import (
     ConfigError,
     MediumParams,
     Method,
+    NumericError,
     Output,
     Spacing,
     SweepSpec,
@@ -24,6 +25,7 @@ from darkres import (
     write_csv,
 )
 from darkres import observables, sweep
+from darkres.observables import _first_order_zero
 from darkres.sweep import MAX_POINTS, read_csv_rows, spec_metadata
 
 
@@ -633,6 +635,89 @@ class TestResolventRoute:
             outputs=outputs,
         )
         assert len(run_sweep(spec).rows) == 3
+
+
+def delta0_spec(fields, axis, start, stop, points=9, spacing=Spacing.LINEAR):
+    spec = resolvent_spec(fields, axis, start, stop, points, spacing)
+    return replace(spec, outputs=(Output.DELTA0,))
+
+
+# the bench's pump scan at g42 = 4, from just above the gain threshold
+PUMP_SCAN = delta0_spec(SPIKE, Axis.LAMBDA, 2e-5, 1e-3, spacing=Spacing.LOG)
+# g41 = gamma13 = 0 traps at lambda = 0 only
+TRAPPED_AT_ZERO = dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0)
+
+
+def seed_or_code(dm0, side):
+    try:
+        return _first_order_zero(dm0, side)
+    except NumericError as exc:
+        return exc.code
+
+
+class TestProbeFreeSeeds:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PUMP_SCAN,
+            delta0_spec(dict(SPIKE, g42=10.0), Axis.LAMBDA, 1e-4, 1e-2, spacing=Spacing.LOG),
+            delta0_spec(dict(PUMPED, lambda_pump=4e-4), Axis.G42, 1.0, 12.0),
+            delta0_spec(PUMPED, Axis.DELTA_P, -1e-3, 1e-3, points=5),
+        ],
+        ids=["lambda-g42-4", "lambda-g42-10", "g42", "delta-p"],
+    )
+    def test_seeds_match_direct_solves(self, spec):
+        states = list(sweep._probe_free_states(spec, spec.grid()))
+        assert len(states) == spec.points and None not in states
+        for x, dm0 in zip(spec.grid(), states):
+            p0 = observables._probe_free(sweep._point_params(spec, x))
+            direct = steady_state(p0)
+            for side in (+1, -1):
+                want, got = seed_or_code(direct, side), seed_or_code(dm0, side)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12)
+
+    def test_lambda_sweep_saves_one_solve_a_point(self, count_calls):
+        solves = count_calls("steady_state", observables, sweep)
+        rows, failures = per_point(PUMP_SCAN)
+        direct = len(solves)
+        observables._chi_and_derivative.cache_clear()
+        table = run_sweep(PUMP_SCAN)
+        assert len(solves) - direct == direct - PUMP_SCAN.points
+        assert table.failures == failures == []
+        for got, want in zip(table.rows, rows, strict=True):
+            assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("refusal", ["gate", "build", "trapped-base"])
+    def test_refused_seeds_reproduce_the_per_point_route(
+        self, monkeypatch, refuse_resolvent_gate, refusal
+    ):
+        spec = PUMP_SCAN
+        if refusal == "gate":
+            refuse_resolvent_gate("BACKWARD_TOL", -1.0)
+        elif refusal == "build":
+
+            def refuse(*args):
+                raise np.linalg.LinAlgError("resolvent refused")
+
+            monkeypatch.setattr(sweep, "_Resolvent", refuse)
+        else:
+            # g41 = gamma13 = lambda = 0 traps the base, and every point
+            spec = delta0_spec(dict(TRAPPED_AT_ZERO, delta42=0.0), Axis.G42, 1.0, 5.0, points=4)
+        assert list(sweep._probe_free_states(spec, spec.grid())) == [None] * spec.points
+        rows, failures = per_point(spec)
+        table = run_sweep(spec)
+        assert (table.rows, table.failures) == (rows, failures)
+
+    def test_trapped_lambda_zero_solves_its_own_seed(self):
+        spec = delta0_spec(TRAPPED_AT_ZERO, Axis.LAMBDA, 0.0, 1e-3, points=6)
+        seeds = list(sweep._probe_free_states(spec, spec.grid()))
+        assert seeds[0] is None and None not in seeds[1:]
+        rows, failures = per_point(spec)
+        table = run_sweep(spec)
+        assert (table.rows, table.failures) == (rows, failures)
 
 
 def test_chi_and_populations_share_one_solve(count_calls, spike_config, mercury_medium):
