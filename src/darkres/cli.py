@@ -21,7 +21,7 @@ from typing import IO
 from .analytic import dressed_states
 from .errors import ConfigError, NumericError, SimulationError
 from .observables import Method, _is_weak_probe, _probe_free
-from .observables import find_absorption_zero_auto, find_gain_threshold
+from .observables import auto_zero_bracket, find_absorption_zero_auto, find_gain_threshold
 from .steady_state import steady_state
 from .sweep import (
     Axis,
@@ -119,11 +119,13 @@ def _cmd_sweep(spec: SweepSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_zero(spec: SweepSpec, args: argparse.Namespace) -> int:
-    # one probe-free state seeds both sides; if its solve raises, each side
-    # solves its own and the finder reports the error as before
+    # one probe-free state seeds both sides; it is solved only once the
+    # automatic bracket exists, and if either raises, each side meets the
+    # error itself and reports it as before
     probe_free = None
     if _is_weak_probe(spec.params):
         try:
+            auto_zero_bracket(spec.params)
             probe_free = steady_state(_probe_free(spec.params))
         except SimulationError:
             pass

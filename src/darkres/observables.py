@@ -8,8 +8,9 @@ the group index, the detunings of vanishing absorption, and the pump
 strength at which the narrow absorption feature turns into gain.  Every
 derivative is exact: on the numeric route one more solve with the matrix
 that the steady state it differentiates carries, for a closed form from
-its rational dependence on the probe detuning.  The root finders' lower ends
-and Newton iterates come from the resolvent built at the lower end.
+its rational dependence on the probe detuning.  The root finders' bracket
+ends and Newton iterates come from the resolvent built at the lower end,
+cross-checked by one direct solve at the root.
 """
 
 from __future__ import annotations
@@ -223,56 +224,86 @@ def _bracketed_newton(
     )
 
 
+def _signs_differ(f_lo: float, f_hi: float) -> bool:
+    """Whether both end values carry a sign (above ``SIGN_FLOOR``) and the
+    signs differ."""
+    return abs(f_lo) > SIGN_FLOOR and abs(f_hi) > SIGN_FLOOR and f_lo * f_hi < 0
+
+
 def _im_chi_crossing(
     p: SystemParams, m: MediumParams, field: str, lo: float, hi: float,
-    tol: float, no_sign_change: str, in_log: bool = False,
-) -> float:
+    tol: float, no_sign_change: str, direct: Callable[[float], complex],
+    in_log: bool = False,
+) -> tuple[float, complex | None]:
     """Value x in (lo, hi) of the ``SystemParams`` field ``field`` at which
-    the numeric chi'' changes sign: both ends must carry a sign, else
-    ``NO_SIGN_CHANGE`` saying ``no_sign_change``; then safeguarded Newton
-    on the exact derivative along ``field``, to relative tolerance ``tol``
-    in x, or in u = ln(x) when ``in_log``.  The lower end and the iterates
-    come from the resolvent built at lo, used only if it accepts lo and
-    its chi at hi passes :meth:`_Resolvent.agrees` against ``chi_at``
-    there; when it is not used, lo is solved directly too, so that
-    everything follows the direct route, and an iterate it refuses alone
-    is solved directly."""
-    p_lo = replace(p, **{field: lo})
-    try:
-        resolvent = _Resolvent(p_lo, field)  # raises TRAPPED as steady_state
-    except np.linalg.LinAlgError:
-        resolvent = None
-    chi_hi = chi_at(replace(p, **{field: hi}), m)
-    if resolvent is not None:
-        x, ok = resolvent.states(np.array([lo, hi]))
-        chi = susceptibility(x[:, _index(2, 3)], m, p.g_p)
-        if not (ok[0] and resolvent.agrees(chi, ok, 1, chi_hi)):
-            resolvent = None
-    chi_lo = chi_at(p_lo, m) if resolvent is None else complex(chi[0])
-    f_lo, f_hi = chi_lo.imag, chi_hi.imag
-    # each end must carry a sign (above SIGN_FLOOR), and the signs differ
-    if not (abs(f_lo) > SIGN_FLOOR and abs(f_hi) > SIGN_FLOOR and f_lo * f_hi < 0):
-        raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
+    the numeric chi'' changes sign, and ``direct(x)`` when it was taken.
+
+    Both ends must carry a sign, else ``NO_SIGN_CHANGE`` saying
+    ``no_sign_change``; then safeguarded Newton on the exact derivative
+    along ``field``, to relative tolerance ``tol`` in x, or in u = ln(x)
+    when ``in_log``.  Both ends and the iterates come from the resolvent
+    built at lo; an iterate it refuses alone is solved directly.  Its one
+    cross-check is at the root x: ``direct(x)``, chi there from a direct
+    solve, must not raise ``NumericError`` and must pass
+    :meth:`_Resolvent.agrees`; a miss it reports must pass it against
+    ``chi_at`` at hi.  Any other refusal takes the direct route: both ends
+    and every iterate solved directly, and no ``direct(x)``."""
+    def at(x: float) -> SystemParams:
+        return replace(p, **{field: x})
 
     def im_chi_and_slope(x: float) -> tuple[float, float]:
         got = resolvent.state_and_derivative(x) if resolvent is not None else None
         if got is None:
-            chi, dchi = _chi_and_derivative(replace(p, **{field: x}), m, field)
+            chi, dchi = _chi_and_derivative(at(x), m, field)
             return chi.imag, dchi.imag
         rho, drho = (complex(v[_index(2, 3)]) for v in got)
         return susceptibility(rho, m, p.g_p).imag, susceptibility(drho, m, p.g_p).imag
 
-    if not in_log:
-        return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
+    def newton(f_lo: float, f_hi: float) -> float:
+        if not _signs_differ(f_lo, f_hi):
+            raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
+        if not in_log:
+            return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
 
-    def in_u(u: float) -> tuple[float, float]:
-        x = math.exp(u)
-        value, slope = im_chi_and_slope(x)
-        return value, x * slope
+        def in_u(u: float) -> tuple[float, float]:
+            x = math.exp(u)
+            value, slope = im_chi_and_slope(x)
+            return value, x * slope
 
-    return math.exp(
-        _bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol)
-    )
+        return math.exp(
+            _bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol)
+        )
+
+    def chi_rows(s: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        x, ok = resolvent.states(np.array(s))
+        return susceptibility(x[:, _index(2, 3)], m, p.g_p), ok
+
+    chi_hi = None
+    try:
+        resolvent = _Resolvent(at(lo), field)  # raises TRAPPED as steady_state
+    except np.linalg.LinAlgError:
+        resolvent = None
+    if resolvent is not None:
+        chi, ok = chi_rows([lo, hi])
+        f_lo, f_hi = chi.imag.tolist()
+        if ok.all() and _signs_differ(f_lo, f_hi):
+            root = newton(f_lo, f_hi)
+            chi, ok = chi_rows([lo, hi, root])
+            try:
+                reference = direct(root)
+            except NumericError:
+                reference = None
+            if reference is not None and resolvent.agrees(chi, ok, 2, reference):
+                return root, reference
+        elif ok.all():
+            # a miss, which the direct solve at hi must confirm
+            chi_hi = chi_at(at(hi), m)
+            if resolvent.agrees(chi, ok, 1, chi_hi) and not _signs_differ(f_lo, chi_hi.imag):
+                raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
+        resolvent = None
+    if chi_hi is None:
+        chi_hi = chi_at(at(hi), m)
+    return newton(chi_at(at(lo), m).imag, chi_hi.imag), None
 
 
 def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
@@ -377,7 +408,11 @@ def find_absorption_zero(
     |chi''| <= 1e-8 there.  That verification also solves the detuning
     derivative at the root, under the derivative's own gates (a refused
     derivative refuses the root), so that ``dispersion_slope`` and
-    ``group_index`` at the returned root solve nothing more.  Raises
+    ``group_index`` at the returned root solve nothing more.  When the
+    ends and the iterates come from the resolvent, the verification's
+    solve is also its cross-check, so a root costs that one solve; where
+    the resolvent does not reproduce chi there, the root is searched again
+    on direct solves alone.  Raises
     ``NO_SIGN_CHANGE`` when the ends share a sign: when chi'' is
     single-signed over the bracket (pump below the onset of
     transparency), and also when the bracket holds an even number of
@@ -389,11 +424,16 @@ def find_absorption_zero(
     lo, hi = bracket
     if not hi > lo:
         raise ConfigError("bracket must satisfy lo < hi", code="RANGE_ERROR")
-    root = _im_chi_crossing(
+
+    def chi_at_root(x: float) -> complex:
+        return _chi_and_derivative(replace(p, delta_p=x), m, "delta_p")[0]
+
+    root, chi = _im_chi_crossing(
         p, m, "delta_p", lo, hi, ZERO_REL_TOL,
-        "absorption does not change sign between the bracket ends",
+        "absorption does not change sign between the bracket ends", chi_at_root,
     )
-    chi, _ = _chi_and_derivative(replace(p, delta_p=root), m, "delta_p")
+    if chi is None:
+        chi = chi_at_root(root)
     if not abs(chi.imag) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
@@ -457,17 +497,21 @@ def find_gain_threshold(
     of the pump range; safeguarded Newton on the exact pump derivative of
     the steady state then refines the sign change to relative tolerance
     1e-3, in u = ln(lambda) when the range is positive and in lambda when
-    it starts at 0.  Raises ``NO_SIGN_CHANGE`` when the ends share a sign,
-    e.g. without the coupling field there is no feature to invert.
+    it starts at 0.  When the ends and the iterates come from the
+    resolvent, one ``chi_at`` solve at the root cross-checks it.  Raises
+    ``NO_SIGN_CHANGE`` when the ends share a sign, e.g. without the
+    coupling field there is no feature to invert.
     """
     lo, hi = lambda_range
     if not hi > lo or lo < 0:
         raise ConfigError(
             "pump range must satisfy 0 <= lo < hi", code="RANGE_ERROR"
         )
-    return _im_chi_crossing(
-        replace(p, delta_p=0.0), m, "lambda_pump", lo, hi, THRESHOLD_REL_TOL,
+    p = replace(p, delta_p=0.0)
+    star, _ = _im_chi_crossing(
+        p, m, "lambda_pump", lo, hi, THRESHOLD_REL_TOL,
         "resonant absorption does not change sign over the pump range",
-        in_log=lo > 0,
+        lambda x: chi_at(replace(p, lambda_pump=x), m), in_log=lo > 0,
     )
+    return star
 

@@ -13,7 +13,8 @@ the middle grid point, and a point it refuses falls back to its own solve;
 other sweeps solve point by point.  A DELTA0 sweep with a weak probe
 takes the probe-free states that seed its zero searches from one such
 resolvent, built at the middle point's probe-free parameters; a point it
-refuses solves its own.
+refuses solves its own.  A DELTA_P sweep runs one zero search for all its
+points, since the search does not read the probe detuning.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class SweepSpec:
 
     ``outputs`` semantics per grid point: CHI_* are evaluated at the base
     probe detuning (or at the grid value on a DELTA_P sweep); DELTA0
-    re-runs the absorption-zero finder with an automatic bracket; SLOPE
-    and NG are evaluated at the found DELTA0 when that output is also
-    requested, otherwise at the base detuning.  SLOPE is the exact
+    re-runs the absorption-zero finder with an automatic bracket (once
+    for a DELTA_P sweep, whose axis it does not read); SLOPE and NG are
+    evaluated at the found DELTA0 when that output is also requested,
+    otherwise at the base detuning.  SLOPE is the exact
     detuning derivative by the sweep's method (``slope_err`` is always 0)
     and NG takes chi' and that derivative from one evaluation.
     POPULATIONS are the numeric steady-state level occupations.
@@ -177,20 +179,23 @@ def _point_params(spec: SweepSpec, x: float) -> SystemParams:
 
 
 def _evaluate_point(
-    spec: SweepSpec, x: float, probe_free: DensityMatrix | None = None
+    spec: SweepSpec, x: float, zero: float | str | None = None
 ) -> tuple[float, tuple[float, ...] | None, str | None]:
-    """Compute all requested outputs at one axis value (DELTA0 seeded from
-    the point's probe-free state ``probe_free`` when given).
+    """Compute all requested outputs at one axis value.  With DELTA0,
+    ``zero`` is the point's crossing or the error code of its search
+    (:func:`_zero_searches`); when None, the point runs its own search.
 
     Returns (x, row, None) on success or (x, None, error_code) when any
     requested output fails numerically.
     """
+    if isinstance(zero, str):
+        return x, None, zero
     p = _point_params(spec, x)
     try:
         values: list[float] = [x]
         delta0: float | None = None
         if Output.DELTA0 in spec.outputs:
-            delta0 = find_absorption_zero_auto(p, spec.medium, probe_free=probe_free)
+            delta0 = find_absorption_zero_auto(p, spec.medium) if zero is None else zero
         eval_dp = delta0 if delta0 is not None else p.delta_p
         chi = dm = None
         if Output.CHI_RE in spec.outputs or Output.CHI_IM in spec.outputs:
@@ -303,6 +308,27 @@ def _probe_free_states(spec: SweepSpec, grid: list[float]) -> Iterable[DensityMa
     )
 
 
+def _zero_searches(spec: SweepSpec, grid: list[float]) -> Iterable[float | str]:
+    """Each grid point's zero crossing from ``find_absorption_zero_auto``,
+    or the error code of its search, seeded with a weak probe from
+    :func:`_probe_free_states`.  A DELTA_P sweep runs one search for every
+    point: the search replaces delta_p, so the point moves nothing it
+    reads."""
+    seeds = _probe_free_states(spec, grid) if _is_weak_probe(spec.params) else repeat(None)
+
+    def search(x: float, probe_free: DensityMatrix | None) -> float | str:
+        try:
+            return find_absorption_zero_auto(
+                _point_params(spec, x), spec.medium, probe_free=probe_free
+            )
+        except NumericError as exc:
+            return exc.code
+
+    if spec.axis is Axis.DELTA_P:
+        return repeat(search(grid[0], next(iter(seeds))), len(grid))
+    return map(search, grid, seeds)
+
+
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep in grid order.
 
@@ -311,9 +337,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     grid points are not evaluated independently, and its values agree
     with per-point ``chi_at`` and ``steady_state`` to about 1e-12 relative
     rather than bit for bit.  Points the route's gates reject, and every
-    other sweep, are evaluated point by point; with a weak probe, a
-    DELTA0 sweep seeds each point's zero search from
-    :func:`_probe_free_states`.  Per-point numeric failures
+    other sweep, are evaluated point by point, a DELTA0 sweep with the
+    zero searches of :func:`_zero_searches`.  Per-point numeric failures
     (for example NO_SIGN_CHANGE from the absorption-zero finder below the
     gain onset) are recorded in the failure log and excluded from the
     rows; spec-level validation errors are fatal.
@@ -324,10 +349,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.method is Method.NUMERIC and _RESOLVENT_OUTPUTS.issuperset(spec.outputs):
         results = _resolvent_sweep(spec, grid)
     if results is None:
-        seeds = repeat(None)
-        if Output.DELTA0 in spec.outputs and _is_weak_probe(spec.params):
-            seeds = _probe_free_states(spec, grid)
-        results = [_evaluate_point(spec, x, dm0) for x, dm0 in zip(grid, seeds)]
+        zeros = _zero_searches(spec, grid) if Output.DELTA0 in spec.outputs else repeat(None)
+        results = [_evaluate_point(spec, x, zero) for x, zero in zip(grid, zeros)]
 
     columns = [_AXIS_COLUMN[spec.axis]]
     for out in spec.outputs:

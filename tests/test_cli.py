@@ -206,15 +206,30 @@ class TestZeroAndThreshold:
 
     def test_zero_solve_budget(self, pumped_file, capsys, count_calls):
         # one probe-free seed state for both sides, then per side the
-        # upper end and the verification; the lower end and the iterates
-        # come from the resolvent
+        # verification of the root, which also cross-checks the resolvent
+        # that gives both ends and the iterates
         import darkres
         from darkres import cli, sweep
 
         solves = count_calls("steady_state", darkres, observables, sweep, cli)
         code, _, _ = run_cli(["zero", "--config", str(pumped_file)], capsys)
         assert code == 0
-        assert len(solves) <= 5
+        assert len(solves) <= 3
+
+    def test_zero_without_feature_scale_solves_nothing(self, capsys, count_calls):
+        # no pump and no coupling field: the automatic bracket raises
+        # before the seed state is solved
+        import darkres
+        from darkres import cli, sweep
+
+        solves = count_calls("steady_state", darkres, observables, sweep, cli)
+        code, out, err = run_cli(["zero", "--set", "g42=0", "--set", "lambda=0"], capsys)
+        assert code == 3
+        assert err == (
+            "error [NO_SIGN_CHANGE]: no vanishing-absorption detuning in the scanned brackets\n"
+        )
+        assert out == ""
+        assert solves == []
 
     def test_threshold(self, spike_file, capsys):
         code, out, _ = run_cli(["threshold", "--config", str(spike_file)], capsys)

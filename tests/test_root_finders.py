@@ -523,6 +523,122 @@ def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
     assert star == pytest.approx(expected, rel=1e-10)
 
 
+# --- the resolvent's one cross-check, at the root ---
+
+RHO23 = steady_state_module._index(2, 3)
+
+
+def perturb_resolvent(monkeypatch, change):
+    """Give every resolvent row at the axis value s the probe coherence
+    ``change(s, rho23)``, after its gate has judged it; the Newton iterates
+    read their states through the same rows."""
+    real = steady_state_module._Resolvent.states
+
+    def perturbed(self, s):
+        x, ok = real(self, s)
+        x = x.copy()
+        x[:, RHO23] = [change(v, rho) for v, rho in zip(s.tolist(), x[:, RHO23])]
+        return x, ok
+
+    monkeypatch.setattr(steady_state_module._Resolvent, "states", perturbed)
+
+
+def at_value(target, change):
+    """A perturbation of the row at exactly ``target``, and of no other."""
+    return lambda s, rho: change(rho) if s == target else rho
+
+
+def forced_direct(monkeypatch, finder, *args):
+    with monkeypatch.context() as mp:
+        force_direct_route(mp)
+        return outcome(finder, *args)
+
+
+FINDER_CASES = [
+    pytest.param(find_absorption_zero, PUMPED, (1e-5, 1e-3), "delta_p", id="zero"),
+    pytest.param(find_gain_threshold, SPIKE, (1e-8, 1e-2), "lambda_pump", id="threshold"),
+]
+
+
+@pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
+def test_resolvent_wrong_at_its_root_gives_the_direct_root(
+    monkeypatch, count_calls, finder, p, bracket, field
+):
+    """The Newton iterates never sit on the returned root, so a resolvent
+    wrong there alone steers nothing, and only the cross-check sees it:
+    the ends and the iterates are then solved directly.  chi nearly
+    vanishes at a threshold, so the error is 1e-9 of |rho23| at lo."""
+    root = finder(p, MEDIUM, bracket)
+    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
+    assert root == pytest.approx(direct, rel=1e-10)
+    error = 1e-9 * abs(steady_state(replace(p, **{field: bracket[0]})).element(2, 3))
+    perturb_resolvent(monkeypatch, at_value(root, lambda rho: rho + error))
+    solves = count_calls("steady_state", observables)
+    assert outcome(finder, p, MEDIUM, bracket) == direct
+    assert getattr(solves[0][0], field) == root
+    assert [getattr(args[0], field) for args in solves[1:3]] == [bracket[1], bracket[0]]
+
+
+@pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
+def test_resolvent_wrong_at_hi_only_moves_the_start(
+    monkeypatch, count_calls, finder, p, bracket, field
+):
+    """The upper end's value, wrong but of the right sign, only moves the
+    secant start: the root stays within the finder's tolerance of the
+    direct route's, and nothing is solved at hi."""
+    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
+    perturb_resolvent(monkeypatch, at_value(bracket[1], lambda rho: 3 * rho))
+    solves = count_calls("steady_state", observables)
+    assert outcome(finder, p, MEDIUM, bracket) == pytest.approx(direct, rel=1e-6)
+    assert len(solves) == 1 and getattr(solves[0][0], field) != bracket[1]
+
+
+@pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
+def test_wrongly_reported_miss_is_refused_by_the_solve_at_hi(
+    monkeypatch, count_calls, finder, p, bracket, field
+):
+    """A resolvent whose upper end has the wrong sign reports a miss where
+    the bracket holds a crossing; the direct solve at hi refuses it, and
+    the direct route finds the crossing."""
+    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
+    perturb_resolvent(monkeypatch, at_value(bracket[1], lambda rho: rho.conjugate()))
+    solves = count_calls("steady_state", observables)
+    assert outcome(finder, p, MEDIUM, bracket) == direct
+    assert getattr(solves[0][0], field) == bracket[1]
+
+
+@pytest.mark.parametrize(
+    "finder, p, bracket, field",
+    [
+        pytest.param(find_absorption_zero, SPIKE, (1e-5, 1e-3), "delta_p", id="zero"),
+        pytest.param(
+            find_gain_threshold, replace(SPIKE, g42=0.0), (1e-8, 1e-2), "lambda_pump",
+            id="threshold",
+        ),
+    ],
+)
+def test_resolvent_wrong_near_hi_cannot_make_a_crossing(
+    monkeypatch, count_calls, finder, p, bracket, field
+):
+    """A resolvent error that grows towards hi and flips its sign there
+    makes a crossing the bracket does not hold; at that false root the
+    resolvent is off by the whole of chi'', so the cross-check refuses it
+    and the direct route reports the miss."""
+    lo, hi = bracket
+    mid = math.sqrt(lo * hi)
+    flip = -2j * steady_state(replace(p, **{field: hi})).element(2, 3).imag
+    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
+    assert direct == "NO_SIGN_CHANGE"
+    perturb_resolvent(
+        monkeypatch,
+        lambda s, rho: rho + flip * ((s - mid) / (hi - mid)) ** 2 if s > mid else rho,
+    )
+    searches = count_calls("_bracketed_newton", observables)
+    assert outcome(finder, p, MEDIUM, bracket) == direct
+    # the one search ran on the resolvent; the direct ends share a sign
+    assert len(searches) == 1
+
+
 def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
     """One curve of the pump-scan figure at g42 = 4: the gain threshold,
     then a DELTA0, SLOPE, NG sweep from just above it.  Each matrix is

@@ -720,6 +720,37 @@ class TestProbeFreeSeeds:
         assert (table.rows, table.failures) == (rows, failures)
 
 
+@pytest.mark.parametrize(
+    "fields, found",
+    [(PUMPED, True), (dict(PUMPED, lambda_pump=1e-6), False)],
+    ids=["crossing", "below-threshold"],
+)
+def test_delta_p_sweep_runs_one_zero_search(count_calls, fields, found):
+    """The zero search replaces delta_p, so a DELTA_P sweep runs it once
+    and shares its root or its error code; the table is that of a search
+    at each point, seeded as the sweep seeds it."""
+    spec = replace(
+        delta0_spec(fields, Axis.DELTA_P, -1e-3, 1e-3, points=5),
+        medium=MediumParams(gamma_si=1e8),
+        outputs=(Output.DELTA0, Output.SLOPE, Output.NG),
+    )
+    rows, failures = [], []
+    for x, dm0 in zip(spec.grid(), sweep._probe_free_states(spec, spec.grid())):
+        p = sweep._point_params(spec, x)
+        try:
+            d0 = observables.find_absorption_zero_auto(p, spec.medium, probe_free=dm0)
+        except NumericError as exc:
+            failures.append((x, exc.code))
+            continue
+        slope = dispersion_slope(p, spec.medium, d0)
+        rows.append((x, d0, *slope, group_index(p, spec.medium, d0)))
+    assert len(rows if found else failures) == spec.points
+    searches = count_calls("find_absorption_zero_auto", sweep)
+    table = run_sweep(spec)
+    assert len(searches) == 1
+    assert (table.rows, table.failures) == (rows, failures)
+
+
 def test_chi_and_populations_share_one_solve(count_calls, spike_config, mercury_medium):
     # SLOPE keeps the sweep per point; chi comes from the populations'
     # steady state, so each point costs 2 solves (chi and populations,
