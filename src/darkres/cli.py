@@ -20,9 +20,7 @@ from typing import IO
 
 from .analytic import dressed_states
 from .errors import ConfigError, NumericError, SimulationError
-from .observables import Method, _is_weak_probe, _probe_free
-from .observables import auto_zero_bracket, find_absorption_zero_auto, find_gain_threshold
-from .steady_state import steady_state
+from .observables import Method, find_absorption_zero_auto, find_gain_threshold
 from .sweep import (
     Axis,
     Output,
@@ -119,22 +117,10 @@ def _cmd_sweep(spec: SweepSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_zero(spec: SweepSpec, args: argparse.Namespace) -> int:
-    # one probe-free state seeds both sides; it is solved only once the
-    # automatic bracket exists, and if either raises, each side meets the
-    # error itself and reports it as before
-    probe_free = None
-    if _is_weak_probe(spec.params):
-        try:
-            auto_zero_bracket(spec.params)
-            probe_free = steady_state(_probe_free(spec.params))
-        except SimulationError:
-            pass
     crossings: list[float] = []
     for side in (-1, +1):
         try:
-            crossings.append(find_absorption_zero_auto(
-                spec.params, spec.medium, side=side, probe_free=probe_free
-            ))
+            crossings.append(find_absorption_zero_auto(spec.params, spec.medium, side=side))
         except NumericError as exc:
             if exc.code != "NO_SIGN_CHANGE":
                 raise

@@ -26,8 +26,8 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import DensityMatrix, _basis, _index, _Resolvent, steady_state
-from .steady_state import steady_state_derivative
+from .steady_state import RHS, DensityMatrix, _basis, _check_trap, _index, _Resolvent, assemble
+from .steady_state import steady_state, steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -324,18 +324,6 @@ def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
     return (0.0, 10.0 * scale)
 
 
-def _probe_free(p: SystemParams) -> SystemParams:
-    """``p`` without the probe (g_p = delta_p = 0): the parameters of the
-    state that seeds the zero finder."""
-    return replace(p, g_p=0.0, delta_p=0.0)
-
-
-def _is_weak_probe(p: SystemParams) -> bool:
-    """Whether the probe of ``p`` is weak, so that the zero finder seeds
-    its search from the first-order crossing."""
-    return p.g_p <= WEAK_PROBE_FACTOR * p.gamma23
-
-
 def _first_order_zero(dm0: DensityMatrix, side: int) -> float:
     """Detuning nearest 0 on the ``side`` half-axis at which chi'' vanishes
     to first order in the probe field, from the probe-free state ``dm0``
@@ -374,20 +362,22 @@ def _first_order_zero(dm0: DensityMatrix, side: int) -> float:
     return float(min(real, key=abs))
 
 
-def _seed_bracket(
-    p: SystemParams, side: int, reach: float, probe_free: DensityMatrix | None
-) -> tuple[float, float] | None:
+def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:
     """Bracket on the positive half-axis, +-``_SEED_BRACKET_REL`` relative
-    around |first-order crossing| from the state ``probe_free`` (solved
-    here when None), or None: for a probe that is not weak, when the
-    crossing cannot be computed, and when it lies beyond ``reach``."""
-    if not _is_weak_probe(p):
+    around |first-order crossing| from the probe-free state (g_p = delta_p
+    = 0) of ``p``, or None: for a probe that is not weak, when that state
+    or the crossing cannot be computed, and when it lies beyond ``reach``."""
+    if not p.g_p <= WEAK_PROBE_FACTOR * p.gamma23:
         return None
+    p0 = replace(p, g_p=0.0, delta_p=0.0)
     try:
-        if probe_free is None:
-            probe_free = steady_state(_probe_free(p))
-        d1 = abs(_first_order_zero(probe_free, side))
-    except NumericError:
+        a = assemble(p0)
+        _check_trap(p0)
+        # LAPACK, not steady_state (+14% on the pump scan): a seed is a hint
+        dm0 = DensityMatrix(np.linalg.solve(a, RHS).reshape(4, 4), a)
+        dm0.validate()
+        d1 = abs(_first_order_zero(dm0, side))
+    except (NumericError, np.linalg.LinAlgError):
         return None
     if not d1 <= reach:
         return None
@@ -441,38 +431,30 @@ def find_absorption_zero(
     return root
 
 
-def find_absorption_zero_auto(
-    p: SystemParams,
-    m: MediumParams,
-    side: int = +1,
-    *,
-    probe_free: DensityMatrix | None = None,
-) -> float:
+def find_absorption_zero_auto(p: SystemParams, m: MediumParams, side: int = +1) -> float:
     """Locate a vanishing-absorption detuning without a user bracket.
 
     ``side`` selects the positive or negative detuning half-axis.  Each
     bracket is tried by ``find_absorption_zero``, and the first root found
     is returned.  For a weak probe the first bracket is a tight one around
-    the exact first-order crossing (``_first_order_zero``), which lies
+    the exact first-order crossing (``_seed_bracket``), which lies
     within ~1e-5 relative of the true one at g_p = 1e-4; it is a hint
-    only, so any ``NumericError`` from it moves on to the decade brackets.
+    only, so a seed that cannot be computed, or any ``NumericError`` from
+    its bracket, moves on to the decade brackets.
     These start from the automatic bracket and widen it tenfold, up to
     ``ZERO_BRACKET_EXPANSIONS`` times, while the ends share a sign (a miss
     costs one solve): for strong drives the crossing sits many gain half
     widths out (the gain wing decays slowly against a background
     suppressed by optical pumping), beyond any fixed small multiple of the
     feature scale.  A first-order crossing beyond the widest decade
-    bracket is not tried.  The seed is read off ``probe_free``, the steady
-    state of ``p`` at g_p = delta_p = 0 with the matrix it solves, as
-    :func:`steady_state` or a resolvent gives it; when None it is solved
-    here.
+    bracket is not tried.
     """
     lo, hi = auto_zero_bracket(p)
     decades = [(lo, hi)]
     for _ in range(ZERO_BRACKET_EXPANSIONS):
         hi *= 10.0
         decades.append((lo, hi))
-    seed = _seed_bracket(p, side, hi, probe_free)
+    seed = _seed_bracket(p, side, hi)
     for bracket in ([seed] if seed else []) + decades:
         a, b = bracket
         try:

@@ -64,8 +64,7 @@ RHS.setflags(write=False)
 class DensityMatrix:
     """4x4 complex steady-state density matrix (one-based state labels),
     with the 16x16 matrix whose solution it is (right-hand side
-    :data:`RHS`) when a solve gave it: read-only from :func:`steady_state`,
-    or :meth:`_Resolvent.matrix` at the state's axis value."""
+    :data:`RHS`) when a solve gave it, read-only from :func:`steady_state`."""
 
     rho: np.ndarray
     system_matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -377,10 +376,6 @@ class _Resolvent:
         self.coeffs = self.w_inv @ (self.a0_inv @ RHS)
         self.norm_a0, self.norm_b = _norm(self.a0), _norm(self.b)
 
-    def matrix(self, s: float) -> np.ndarray:
-        """A(s) = A0 + t B, the matrix whose solution is the state at ``s``."""
-        return self.a0 + (s - self.s0) * self.b
-
     def _apply(self, v: np.ndarray, den: np.ndarray) -> np.ndarray:
         """A(s)^-1 v for each row of ``v``, with den = 1 + t mu."""
         return ((v @ self.a0_inv.T) @ self.w_inv.T / den) @ self.w.T
@@ -407,7 +402,7 @@ class _Resolvent:
             return None
         # an accepted state is finite, so no 1 + t mu vanishes
         x, t = x[0], s - self.s0
-        a, rhs, den = self.matrix(s), -(self.b @ x), 1.0 + t * self.mu
+        a, rhs, den = self.a0 + t * self.b, -(self.b @ x), 1.0 + t * self.mu
         dx = self._apply(rhs, den)
         dx += self._apply(rhs - a @ dx, den)
         try:

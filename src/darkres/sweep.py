@@ -10,11 +10,9 @@ Grid points are not evaluated independently when the outputs are all read
 off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): they come from
 the resolvent along the sweep axis (``steady_state._Resolvent``) built at
 the middle grid point, and a point it refuses falls back to its own solve;
-other sweeps solve point by point.  A DELTA0 sweep with a weak probe
-takes the probe-free states that seed its zero searches from one such
-resolvent, built at the middle point's probe-free parameters; a point it
-refuses solves its own.  A DELTA_P sweep runs one zero search for all its
-points, since the search does not read the probe detuning.
+other sweeps solve point by point.  A DELTA_P sweep with DELTA0 runs one
+zero search for all its points, since the search does not read the probe
+detuning.
 """
 
 from __future__ import annotations
@@ -35,15 +33,13 @@ from .errors import ConfigError, NumericError, ParameterError, SimulationError
 from .model import MediumParams, SystemParams
 from .observables import (
     Method,
-    _is_weak_probe,
-    _probe_free,
     chi_at,
     dispersion_slope,
     find_absorption_zero_auto,
     group_index,
     susceptibility,
 )
-from .steady_state import DensityMatrix, _index, _Resolvent, steady_state
+from .steady_state import _index, _Resolvent, steady_state
 
 
 class Axis(str, Enum):
@@ -229,20 +225,6 @@ def _evaluate_point(
         return x, None, exc.code
 
 
-def _resolvent_blocks(
-    resolvent: _Resolvent, field: str, axis: np.ndarray
-) -> Iterable[tuple[slice, np.ndarray, np.ndarray]]:
-    """(block, states, accepted) of the resolvent at the values ``axis`` of
-    ``field``, ``RESOLVENT_CHUNK`` rows at a time; a row is accepted when
-    it passes the gate, and never at lambda = 0, which may trap."""
-    for lo in range(0, len(axis), RESOLVENT_CHUNK):
-        block = slice(lo, lo + RESOLVENT_CHUNK)
-        x, ok = resolvent.states(axis[block])
-        if field == "lambda_pump":
-            ok &= axis[block] > 0
-        yield block, x, ok
-
-
 def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
@@ -252,7 +234,8 @@ def _resolvent_sweep(
     too) or the cross-check solve at the last grid point (no nearer the
     base than the first) raises, or when :meth:`_Resolvent.agrees` refuses
     that point against the cross-check.
-    A point it refuses (:func:`_resolvent_blocks`) is evaluated on its own."""
+    A point it refuses, by its gate or at lambda = 0 (which may trap), is
+    evaluated on its own."""
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
@@ -263,13 +246,15 @@ def _resolvent_sweep(
         return None
 
     axis = np.array(grid)
-    accepted = np.empty(len(grid), dtype=bool)
+    accepted = axis > 0 if field == "lambda_pump" else np.ones(len(grid), dtype=bool)
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
     # rejected rows may hold inf or NaN, which the gates have refused
     with np.errstate(invalid="ignore", over="ignore"):
-        for block, x, ok in _resolvent_blocks(resolvent, field, axis):
-            accepted[block] = ok
+        for lo in range(0, len(grid), RESOLVENT_CHUNK):
+            block = slice(lo, lo + RESOLVENT_CHUNK)
+            x, ok = resolvent.states(axis[block])
+            accepted[block] &= ok
             chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
             columns = [axis[block]]
             for out in spec.outputs:
@@ -289,44 +274,21 @@ def _resolvent_sweep(
     ]
 
 
-def _probe_free_states(spec: SweepSpec, grid: list[float]) -> Iterable[DensityMatrix | None]:
-    """Each grid point's probe-free state (g_p = delta_p = 0), which seeds
-    its zero search, with its matrix, from the resolvent built at the
-    middle point's; None where it refuses the row, everywhere when it
-    raises.  The seed takes the matrix at delta_p = 0, so a DELTA_P sweep
-    reads every point there: delta_p does not move the state."""
-    field = _AXIS_FIELD[spec.axis]
-    try:
-        resolvent = _Resolvent(_probe_free(_point_params(spec, grid[(len(grid) - 1) // 2])), field)
-    except (SimulationError, np.linalg.LinAlgError):
-        return repeat(None, len(grid))
-    axis = np.zeros(len(grid)) if field == "delta_p" else np.array(grid)
-    return (
-        DensityMatrix(row.reshape(4, 4), resolvent.matrix(s)) if ok else None
-        for block, x, accepted in _resolvent_blocks(resolvent, field, axis)
-        for row, s, ok in zip(x, axis[block].tolist(), accepted.tolist())
-    )
-
-
 def _zero_searches(spec: SweepSpec, grid: list[float]) -> Iterable[float | str]:
     """Each grid point's zero crossing from ``find_absorption_zero_auto``,
-    or the error code of its search, seeded with a weak probe from
-    :func:`_probe_free_states`.  A DELTA_P sweep runs one search for every
-    point: the search replaces delta_p, so the point moves nothing it
+    or the error code of its search.  A DELTA_P sweep runs one search for
+    every point: the search replaces delta_p, so the point moves nothing it
     reads."""
-    seeds = _probe_free_states(spec, grid) if _is_weak_probe(spec.params) else repeat(None)
 
-    def search(x: float, probe_free: DensityMatrix | None) -> float | str:
+    def search(x: float) -> float | str:
         try:
-            return find_absorption_zero_auto(
-                _point_params(spec, x), spec.medium, probe_free=probe_free
-            )
+            return find_absorption_zero_auto(_point_params(spec, x), spec.medium)
         except NumericError as exc:
             return exc.code
 
     if spec.axis is Axis.DELTA_P:
-        return repeat(search(grid[0], next(iter(seeds))), len(grid))
-    return map(search, grid, seeds)
+        return repeat(search(grid[0]), len(grid))
+    return map(search, grid)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

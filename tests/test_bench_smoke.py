@@ -32,7 +32,7 @@ def test_one_traced_pass(workload):
         assert metrics["steady_state.calls"] <= 1
     if workload == "pump_scan":
         # every zero search hits on its first, seeded bracket, whose
-        # probe-free state comes from one resolvent along the sweep; both
+        # probe-free state is a LAPACK solve, not a steady_state; both
         # ends' signs and the Newton iterates of each search come from the
         # resolvent built at its lower end, whose one cross-check is the
         # direct solve at the root: 18 solves a pass at seed 0 (one

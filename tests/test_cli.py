@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from darkres import Method, chi_at, find_gain_threshold, observables, run_sweep
 from darkres.cli import main
 from darkres.sweep import read_csv_rows
+
+steady_state_module = importlib.import_module("darkres.steady_state")
 
 SPIKE_CONFIG = """
 g41 = 0.04
@@ -205,31 +208,32 @@ class TestZeroAndThreshold:
         assert values[1] == pytest.approx(+2.624e-4, rel=1e-3)
 
     def test_zero_solve_budget(self, pumped_file, capsys, count_calls):
-        # one probe-free seed state for both sides, then per side the
-        # verification of the root, which also cross-checks the resolvent
-        # that gives both ends and the iterates
+        # per side the verification of the root, which also cross-checks
+        # the resolvent that gives both ends and the iterates; each side's
+        # seed state is a LAPACK solve, not a steady_state
         import darkres
-        from darkres import cli, sweep
+        from darkres import sweep
 
-        solves = count_calls("steady_state", darkres, observables, sweep, cli)
+        solves = count_calls("steady_state", darkres, observables, sweep)
         code, _, _ = run_cli(["zero", "--config", str(pumped_file)], capsys)
         assert code == 0
-        assert len(solves) <= 3
+        assert len(solves) <= 2
 
     def test_zero_without_feature_scale_solves_nothing(self, capsys, count_calls):
         # no pump and no coupling field: the automatic bracket raises
-        # before the seed state is solved
+        # before the seed state is solved or assembled
         import darkres
-        from darkres import cli, sweep
+        from darkres import sweep
 
-        solves = count_calls("steady_state", darkres, observables, sweep, cli)
+        solves = count_calls("steady_state", darkres, observables, sweep)
+        assembles = count_calls("assemble", darkres, steady_state_module, observables)
         code, out, err = run_cli(["zero", "--set", "g42=0", "--set", "lambda=0"], capsys)
         assert code == 3
         assert err == (
             "error [NO_SIGN_CHANGE]: no vanishing-absorption detuning in the scanned brackets\n"
         )
         assert out == ""
-        assert solves == []
+        assert solves == assembles == []
 
     def test_threshold(self, spike_file, capsys):
         code, out, _ = run_cli(["threshold", "--config", str(spike_file)], capsys)

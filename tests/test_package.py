@@ -54,3 +54,19 @@ def test_oracle_imports_nothing_from_the_program(path, allowed):
             # a relative import keeps its leading dots, so it fails too
             roots.add("." * node.level + (node.module or "").split(".")[0])
     assert roots <= allowed
+
+
+@pytest.mark.parametrize("path", ["src/darkres/sweep.py", "src/darkres/cli.py"])
+def test_seed_rule_stays_in_observables(path):
+    # the zero finder's seed is observables' own: the sweep and the CLI
+    # reach it through find_absorption_zero_auto and no private name
+    source = Path(__file__).resolve().parents[1] / path
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "observables"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -35,6 +35,8 @@ from darkres.observables import (
     _first_order_zero,
 )
 
+from test_steady_state import conserved_rho11_draws
+
 steady_state_module = importlib.import_module("darkres.steady_state")
 
 MERCURY = dict(gamma41=1.0, gamma42=0.79, gamma23=0.14)
@@ -304,10 +306,15 @@ def test_seed_finds_a_crossing_of_a_pair_the_decades_straddle():
     assert abs(chi_at(p, MEDIUM, root).imag) <= ZERO_IM_TOL
 
 
+def probe_free(p):
+    """The parameters of the state that seeds the zero search at ``p``."""
+    return replace(p, g_p=0.0, delta_p=0.0)
+
+
 def first_order_zero(p, side):
     """The first-order crossing at ``p`` from its directly solved
     probe-free state."""
-    return _first_order_zero(steady_state(observables._probe_free(p)), side)
+    return _first_order_zero(steady_state(probe_free(p)), side)
 
 
 def test_first_order_gap_shrinks_as_probe_squared():
@@ -332,7 +339,7 @@ def test_seed_does_not_depend_on_probe_detuning():
 def test_seed_ignores_round_off_in_the_populations(p):
     # Im(rho22 - rho33) is the delta^5 coefficient of the seed polynomial,
     # zero for a Hermitian state; its round-off must not become a root
-    dm0 = steady_state(observables._probe_free(p))
+    dm0 = steady_state(probe_free(p))
     rho = dm0.rho.copy()
     rho[1, 1] += 1e-30j
     noisy = DensityMatrix(rho, system_matrix=dm0.system_matrix)
@@ -366,6 +373,10 @@ def test_strong_probe_takes_the_decade_path(count_calls):
         pytest.param(NumericError("probe block singular", code="SINGULAR"), id="raises"),
         pytest.param(1e15, id="beyond-reach"),
         pytest.param(0.5 * 2.6241e-4, id="misses"),
+        # the seed's probe-free matrix: one whose state has trace 1/2,
+        # which the gate refuses, and a singular one, on which LAPACK raises
+        pytest.param(2.0 * np.eye(16), id="state-refused"),
+        pytest.param(np.zeros((16, 16)), id="state-singular"),
     ],
 )
 def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
@@ -375,8 +386,22 @@ def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
         return side * seed
 
     expected = decade_zero(PUMPED, MEDIUM)
-    monkeypatch.setattr(observables, "_first_order_zero", first_order)
+    if isinstance(seed, np.ndarray):
+        monkeypatch.setattr(observables, "assemble", lambda p: seed.astype(complex))
+        assert observables._seed_bracket(PUMPED, +1, math.inf) is None
+    else:
+        monkeypatch.setattr(observables, "_first_order_zero", first_order)
     assert find_absorption_zero_auto(PUMPED, MEDIUM) == expected
+
+
+def test_conserved_rho11_is_singular_with_the_seed_tried():
+    # rho11 conserved (g41 = g42 = gamma13 = 0): LAPACK's probe-free seed
+    # state passes the gate on some of these draws, where steady_state's
+    # pivot threshold refuses every one; the search must still say SINGULAR
+    for p in conserved_rho11_draws():
+        p = replace(p, g_p=min(p.g_p, 0.9 * WEAK_PROBE_FACTOR * p.gamma23))
+        for side in (+1, -1):
+            assert outcome(find_absorption_zero_auto, p, MEDIUM, side) == "SINGULAR", p
 
 
 def test_seeded_bracket_error_falls_back(monkeypatch):
@@ -643,9 +668,12 @@ def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
     """One curve of the pump-scan figure at g42 = 4: the gain threshold,
     then a DELTA0, SLOPE, NG sweep from just above it.  Each matrix is
     assembled once, by the direct solve or the resolvent build that uses
-    it; derivatives and first-order seeds take it from the solved state."""
-    assert not hasattr(observables, "assemble") and not hasattr(sweep, "assemble")
+    it, or by the zero search's seed; derivatives take it from the solved
+    state, and the first-order crossing from the seed's."""
+    assert not hasattr(sweep, "assemble")
     assembles = count_calls("assemble", steady_state_module)
+    seed_assembles = count_calls("assemble", observables)
+    seeds = count_calls("_seed_bracket", observables)
     solves = count_calls("steady_state", observables, sweep)
     builds = count_calls("_Resolvent", observables, sweep)
     overrides = {"g42": "4", "outputs": "DELTA0,SLOPE,NG", "start": "1e-5"}
@@ -655,6 +683,7 @@ def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
     table = run_sweep(spec)
     assert len(table.rows) == spec.points and not table.failures
     assert len(assembles) == len(solves) + len(builds) > 0
+    assert len(seed_assembles) == len(seeds) == spec.points
 
 
 # --- the safeguarded Newton routine ---

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 from dataclasses import replace
@@ -25,8 +26,10 @@ from darkres import (
     write_csv,
 )
 from darkres import observables, sweep
-from darkres.observables import _first_order_zero
+from darkres.observables import _SEED_BRACKET_REL, _first_order_zero
 from darkres.sweep import MAX_POINTS, read_csv_rows, spec_metadata
+
+steady_state_module = importlib.import_module("darkres.steady_state")
 
 
 @pytest.fixture
@@ -648,11 +651,21 @@ PUMP_SCAN = delta0_spec(SPIKE, Axis.LAMBDA, 2e-5, 1e-3, spacing=Spacing.LOG)
 TRAPPED_AT_ZERO = dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0)
 
 
-def seed_or_code(dm0, side):
+def seed_or_code(p, side):
+    """The seed bracket at ``p`` from the steady_state solve of its
+    probe-free state, or the error code of that solve or crossing."""
     try:
-        return _first_order_zero(dm0, side)
+        d1 = abs(_first_order_zero(steady_state(replace(p, g_p=0.0, delta_p=0.0)), side))
     except NumericError as exc:
         return exc.code
+    return (d1 * (1.0 - _SEED_BRACKET_REL), d1 * (1.0 + _SEED_BRACKET_REL))
+
+
+def refuse_seed_state(monkeypatch, refusal):
+    """Give the seed a probe-free matrix whose state the gate refuses
+    (trace 1/2), or a singular one, on which LAPACK raises."""
+    a = 2.0 * np.eye(16) if refusal == "gate" else np.zeros((16, 16))
+    monkeypatch.setattr(observables, "assemble", lambda p: a.astype(complex))
 
 
 class TestProbeFreeSeeds:
@@ -667,54 +680,56 @@ class TestProbeFreeSeeds:
         ids=["lambda-g42-4", "lambda-g42-10", "g42", "delta-p"],
     )
     def test_seeds_match_direct_solves(self, spec):
-        states = list(sweep._probe_free_states(spec, spec.grid()))
-        assert len(states) == spec.points and None not in states
-        for x, dm0 in zip(spec.grid(), states):
-            p0 = observables._probe_free(sweep._point_params(spec, x))
-            direct = steady_state(p0)
+        # the seed solves its probe-free state by LAPACK: its bracket is
+        # the one from steady_state's state, and None where that raises
+        found = 0
+        for x in spec.grid():
+            p = sweep._point_params(spec, x)
             for side in (+1, -1):
-                want, got = seed_or_code(direct, side), seed_or_code(dm0, side)
+                want, got = seed_or_code(p, side), observables._seed_bracket(p, side, math.inf)
                 if isinstance(want, str):
-                    assert got == want
+                    assert got is None, want
                 else:
                     assert got == pytest.approx(want, rel=1e-12)
+                    found += 1
+        assert found >= spec.points
 
     def test_lambda_sweep_saves_one_solve_a_point(self, count_calls):
+        # the seed is a LAPACK solve, so each point of the pump scan pays
+        # one steady_state, the verification of its root, not two
         solves = count_calls("steady_state", observables, sweep)
-        rows, failures = per_point(PUMP_SCAN)
-        direct = len(solves)
-        observables._chi_and_derivative.cache_clear()
         table = run_sweep(PUMP_SCAN)
-        assert len(solves) - direct == direct - PUMP_SCAN.points
+        assert len(solves) == PUMP_SCAN.points
+        rows, failures = per_point(PUMP_SCAN)
         assert table.failures == failures == []
-        for got, want in zip(table.rows, rows, strict=True):
-            assert got == pytest.approx(want, rel=1e-11)
+        assert table.rows == rows
 
-    @pytest.mark.parametrize("refusal", ["gate", "build", "trapped-base"])
-    def test_refused_seeds_reproduce_the_per_point_route(
-        self, monkeypatch, refuse_resolvent_gate, refusal
-    ):
+    @pytest.mark.parametrize("refusal", ["gate", "linalg", "trapped"])
+    def test_refused_seeds_reproduce_the_decade_route(self, monkeypatch, refusal):
         spec = PUMP_SCAN
-        if refusal == "gate":
-            refuse_resolvent_gate("BACKWARD_TOL", -1.0)
-        elif refusal == "build":
-
-            def refuse(*args):
-                raise np.linalg.LinAlgError("resolvent refused")
-
-            monkeypatch.setattr(sweep, "_Resolvent", refuse)
-        else:
-            # g41 = gamma13 = lambda = 0 traps the base, and every point
+        if refusal == "trapped":
+            # g41 = gamma13 = lambda = 0 traps every point
             spec = delta0_spec(dict(TRAPPED_AT_ZERO, delta42=0.0), Axis.G42, 1.0, 5.0, points=4)
-        assert list(sweep._probe_free_states(spec, spec.grid())) == [None] * spec.points
-        rows, failures = per_point(spec)
+        with monkeypatch.context() as mp:
+            mp.setattr(observables, "_seed_bracket", lambda *args: None)
+            unseeded = run_sweep(spec)
+        if refusal != "trapped":
+            refuse_seed_state(monkeypatch, refusal)
+        for x in spec.grid():
+            assert observables._seed_bracket(sweep._point_params(spec, x), +1, math.inf) is None
         table = run_sweep(spec)
-        assert (table.rows, table.failures) == (rows, failures)
+        assert (table.rows, table.failures) == (unseeded.rows, unseeded.failures)
 
-    def test_trapped_lambda_zero_solves_its_own_seed(self):
+    def test_trapped_lambda_zero_solves_its_own_seed(self, count_calls):
+        # every point solves its own probe-free state, and the seed's trap
+        # test refuses lambda = 0 alone, before its solve
         spec = delta0_spec(TRAPPED_AT_ZERO, Axis.LAMBDA, 0.0, 1e-3, points=6)
-        seeds = list(sweep._probe_free_states(spec, spec.grid()))
-        assert seeds[0] is None and None not in seeds[1:]
+        crossings = count_calls("_first_order_zero", observables)
+        reached = []
+        for x in spec.grid():
+            observables._seed_bracket(sweep._point_params(spec, x), +1, math.inf)
+            reached.append(len(crossings))
+        assert reached == [0, 1, 2, 3, 4, 5]
         rows, failures = per_point(spec)
         table = run_sweep(spec)
         assert (table.rows, table.failures) == (rows, failures)
@@ -728,17 +743,17 @@ class TestProbeFreeSeeds:
 def test_delta_p_sweep_runs_one_zero_search(count_calls, fields, found):
     """The zero search replaces delta_p, so a DELTA_P sweep runs it once
     and shares its root or its error code; the table is that of a search
-    at each point, seeded as the sweep seeds it."""
+    at each point."""
     spec = replace(
         delta0_spec(fields, Axis.DELTA_P, -1e-3, 1e-3, points=5),
         medium=MediumParams(gamma_si=1e8),
         outputs=(Output.DELTA0, Output.SLOPE, Output.NG),
     )
     rows, failures = [], []
-    for x, dm0 in zip(spec.grid(), sweep._probe_free_states(spec, spec.grid())):
+    for x in spec.grid():
         p = sweep._point_params(spec, x)
         try:
-            d0 = observables.find_absorption_zero_auto(p, spec.medium, probe_free=dm0)
+            d0 = observables.find_absorption_zero_auto(p, spec.medium)
         except NumericError as exc:
             failures.append((x, exc.code))
             continue
@@ -749,6 +764,17 @@ def test_delta_p_sweep_runs_one_zero_search(count_calls, fields, found):
     table = run_sweep(spec)
     assert len(searches) == 1
     assert (table.rows, table.failures) == (rows, failures)
+
+
+def test_zero_sweep_without_feature_scale_assembles_nothing(count_calls):
+    # no pump and no coupling field: the automatic bracket raises before
+    # the seed is solved or any resolvent is built
+    spec = delta0_spec(dict(SPIKE, g42=0.0), Axis.DELTA_P, -1e-3, 1e-3, points=3)
+    assembles = count_calls("assemble", steady_state_module, observables)
+    builds = count_calls("_Resolvent", observables, sweep)
+    table = run_sweep(spec)
+    assert table.failures == [(x, "NO_SIGN_CHANGE") for x in spec.grid()]
+    assert assembles == builds == []
 
 
 def test_chi_and_populations_share_one_solve(count_calls, spike_config, mercury_medium):
