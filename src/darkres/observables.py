@@ -9,8 +9,8 @@ strength at which the narrow absorption feature turns into gain.  Every
 derivative is exact: on the numeric route one more solve with the matrix
 that the steady state it differentiates carries, for a closed form from
 its rational dependence on the probe detuning.  The root finders' bracket
-ends and Newton iterates come from the resolvent built at the lower end,
-cross-checked by one direct solve at the root.
+ends and Newton iterates are hint states (LAPACK solves under the gate);
+every root they report, and every miss, passes one ``steady_state`` solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .analytic import _incoherent, _limit, _weak_probe, spike_half_width
 from .errors import ConfigError, NumericError, ParameterError
 from .model import PARAM_FIELDS, WEAK_PROBE_FACTOR, MediumParams, SystemParams
-from .steady_state import RHS, DensityMatrix, _basis, _check_trap, _index, _Resolvent, assemble
+from .steady_state import DensityMatrix, _basis, _hint_state, _index
 from .steady_state import steady_state, steady_state_derivative
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -232,78 +232,52 @@ def _signs_differ(f_lo: float, f_hi: float) -> bool:
 
 def _im_chi_crossing(
     p: SystemParams, m: MediumParams, field: str, lo: float, hi: float,
-    tol: float, no_sign_change: str, direct: Callable[[float], complex],
-    in_log: bool = False,
-) -> tuple[float, complex | None]:
+    tol: float, no_sign_change: str, in_log: bool = False,
+) -> float:
     """Value x in (lo, hi) of the ``SystemParams`` field ``field`` at which
-    the numeric chi'' changes sign, and ``direct(x)`` when it was taken.
+    the numeric chi'' changes sign.
 
     Both ends must carry a sign, else ``NO_SIGN_CHANGE`` saying
     ``no_sign_change``; then safeguarded Newton on the exact derivative
     along ``field``, to relative tolerance ``tol`` in x, or in u = ln(x)
-    when ``in_log``.  Both ends and the iterates come from the resolvent
-    built at lo; an iterate it refuses alone is solved directly.  Its one
-    cross-check is at the root x: ``direct(x)``, chi there from a direct
-    solve, must not raise ``NumericError`` and must pass
-    :meth:`_Resolvent.agrees`; a miss it reports must pass it against
-    ``chi_at`` at hi.  Any other refusal takes the direct route: both ends
-    and every iterate solved directly, and no ``direct(x)``."""
+    when ``in_log``.  Both ends and the iterates are hint states
+    (``steady_state._hint_state``); a value whose hint is refused alone is
+    solved by ``steady_state``.  So the root is a hint too, and the caller
+    solves it once more; a miss is reported only when ``chi_at`` at hi
+    confirms it."""
     def at(x: float) -> SystemParams:
         return replace(p, **{field: x})
 
+    def im_chi(x: float) -> float:
+        try:
+            rho = _hint_state(at(x)).element(2, 3)
+        except (NumericError, np.linalg.LinAlgError):
+            return chi_at(at(x), m).imag
+        return susceptibility(rho, m, p.g_p).imag
+
     def im_chi_and_slope(x: float) -> tuple[float, float]:
-        got = resolvent.state_and_derivative(x) if resolvent is not None else None
-        if got is None:
+        try:
+            dm = _hint_state(at(x))
+            rho, drho = dm.element(2, 3), complex(steady_state_derivative(dm, field)[1, 2])
+        except (NumericError, np.linalg.LinAlgError):
             chi, dchi = _chi_and_derivative(at(x), m, field)
             return chi.imag, dchi.imag
-        rho, drho = (complex(v[_index(2, 3)]) for v in got)
         return susceptibility(rho, m, p.g_p).imag, susceptibility(drho, m, p.g_p).imag
 
-    def newton(f_lo: float, f_hi: float) -> float:
+    f_lo, f_hi = im_chi(lo), im_chi(hi)
+    if not _signs_differ(f_lo, f_hi):
+        f_hi = chi_at(at(hi), m).imag
         if not _signs_differ(f_lo, f_hi):
             raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
-        if not in_log:
-            return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
+    if not in_log:
+        return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
 
-        def in_u(u: float) -> tuple[float, float]:
-            x = math.exp(u)
-            value, slope = im_chi_and_slope(x)
-            return value, x * slope
+    def in_u(u: float) -> tuple[float, float]:
+        x = math.exp(u)
+        value, slope = im_chi_and_slope(x)
+        return value, x * slope
 
-        return math.exp(
-            _bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol)
-        )
-
-    def chi_rows(s: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        x, ok = resolvent.states(np.array(s))
-        return susceptibility(x[:, _index(2, 3)], m, p.g_p), ok
-
-    chi_hi = None
-    try:
-        resolvent = _Resolvent(at(lo), field)  # raises TRAPPED as steady_state
-    except np.linalg.LinAlgError:
-        resolvent = None
-    if resolvent is not None:
-        chi, ok = chi_rows([lo, hi])
-        f_lo, f_hi = chi.imag.tolist()
-        if ok.all() and _signs_differ(f_lo, f_hi):
-            root = newton(f_lo, f_hi)
-            chi, ok = chi_rows([lo, hi, root])
-            try:
-                reference = direct(root)
-            except NumericError:
-                reference = None
-            if reference is not None and resolvent.agrees(chi, ok, 2, reference):
-                return root, reference
-        elif ok.all():
-            # a miss, which the direct solve at hi must confirm
-            chi_hi = chi_at(at(hi), m)
-            if resolvent.agrees(chi, ok, 1, chi_hi) and not _signs_differ(f_lo, chi_hi.imag):
-                raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
-        resolvent = None
-    if chi_hi is None:
-        chi_hi = chi_at(at(hi), m)
-    return newton(chi_at(at(lo), m).imag, chi_hi.imag), None
+    return math.exp(_bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol))
 
 
 def auto_zero_bracket(p: SystemParams) -> tuple[float, float]:
@@ -364,19 +338,13 @@ def _first_order_zero(dm0: DensityMatrix, side: int) -> float:
 
 def _seed_bracket(p: SystemParams, side: int, reach: float) -> tuple[float, float] | None:
     """Bracket on the positive half-axis, +-``_SEED_BRACKET_REL`` relative
-    around |first-order crossing| from the probe-free state (g_p = delta_p
-    = 0) of ``p``, or None: for a probe that is not weak, when that state
-    or the crossing cannot be computed, and when it lies beyond ``reach``."""
+    around |first-order crossing| from the hint state of ``p`` at g_p =
+    delta_p = 0, or None: for a probe that is not weak, when that state or
+    the crossing cannot be computed, and when it lies beyond ``reach``."""
     if not p.g_p <= WEAK_PROBE_FACTOR * p.gamma23:
         return None
-    p0 = replace(p, g_p=0.0, delta_p=0.0)
     try:
-        a = assemble(p0)
-        _check_trap(p0)
-        # LAPACK, not steady_state (+14% on the pump scan): a seed is a hint
-        dm0 = DensityMatrix(np.linalg.solve(a, RHS).reshape(4, 4), a)
-        dm0.validate()
-        d1 = abs(_first_order_zero(dm0, side))
+        d1 = abs(_first_order_zero(_hint_state(replace(p, g_p=0.0, delta_p=0.0)), side))
     except (NumericError, np.linalg.LinAlgError):
         return None
     if not d1 <= reach:
@@ -398,11 +366,9 @@ def find_absorption_zero(
     |chi''| <= 1e-8 there.  That verification also solves the detuning
     derivative at the root, under the derivative's own gates (a refused
     derivative refuses the root), so that ``dispersion_slope`` and
-    ``group_index`` at the returned root solve nothing more.  When the
-    ends and the iterates come from the resolvent, the verification's
-    solve is also its cross-check, so a root costs that one solve; where
-    the resolvent does not reproduce chi there, the root is searched again
-    on direct solves alone.  Raises
+    ``group_index`` at the returned root solve nothing more.  The ends and
+    the iterates are hint states, so a root costs that one
+    ``steady_state``, and a miss the one at the upper end.  Raises
     ``NO_SIGN_CHANGE`` when the ends share a sign: when chi'' is
     single-signed over the bracket (pump below the onset of
     transparency), and also when the bracket holds an even number of
@@ -415,15 +381,11 @@ def find_absorption_zero(
     if not hi > lo:
         raise ConfigError("bracket must satisfy lo < hi", code="RANGE_ERROR")
 
-    def chi_at_root(x: float) -> complex:
-        return _chi_and_derivative(replace(p, delta_p=x), m, "delta_p")[0]
-
-    root, chi = _im_chi_crossing(
+    root = _im_chi_crossing(
         p, m, "delta_p", lo, hi, ZERO_REL_TOL,
-        "absorption does not change sign between the bracket ends", chi_at_root,
+        "absorption does not change sign between the bracket ends",
     )
-    if chi is None:
-        chi = chi_at_root(root)
+    chi, _ = _chi_and_derivative(replace(p, delta_p=root), m, "delta_p")
     if not abs(chi.imag) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
@@ -479,10 +441,10 @@ def find_gain_threshold(
     of the pump range; safeguarded Newton on the exact pump derivative of
     the steady state then refines the sign change to relative tolerance
     1e-3, in u = ln(lambda) when the range is positive and in lambda when
-    it starts at 0.  When the ends and the iterates come from the
-    resolvent, one ``chi_at`` solve at the root cross-checks it.  Raises
-    ``NO_SIGN_CHANGE`` when the ends share a sign, e.g. without the
-    coupling field there is no feature to invert.
+    it starts at 0.  The ends and the iterates are hint states, and one
+    ``chi_at`` solve at the root checks it, as one at the upper end checks
+    a miss.  Raises ``NO_SIGN_CHANGE`` when the ends share a sign, e.g.
+    without the coupling field there is no feature to invert.
     """
     lo, hi = lambda_range
     if not hi > lo or lo < 0:
@@ -490,10 +452,10 @@ def find_gain_threshold(
             "pump range must satisfy 0 <= lo < hi", code="RANGE_ERROR"
         )
     p = replace(p, delta_p=0.0)
-    star, _ = _im_chi_crossing(
+    star = _im_chi_crossing(
         p, m, "lambda_pump", lo, hi, THRESHOLD_REL_TOL,
-        "resonant absorption does not change sign over the pump range",
-        lambda x: chi_at(replace(p, lambda_pump=x), m), in_log=lo > 0,
+        "resonant absorption does not change sign over the pump range", in_log=lo > 0,
     )
+    chi_at(replace(p, lambda_pump=star), m)  # a reported root passes steady_state
     return star
 

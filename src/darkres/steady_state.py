@@ -16,6 +16,12 @@ with partial pivoting and no refinement step, which in double precision
 gains nothing: backward errors stay below 1e-16 on random draws, and
 states away from the trap lie within 1e-15 of the exact rational
 solution.  Every solve passes one gate, :func:`_gate`.
+
+The root finders search on hint states (:func:`_hint_state`): the same
+LU with partial pivoting, by LAPACK, under the same gate.  The
+elimination stays for every reported state, since only its pivot
+threshold reports ``SINGULAR`` where rho11 is conserved: there LAPACK
+returns a state that passes the gate on some draws.
 """
 
 from __future__ import annotations
@@ -324,6 +330,20 @@ def steady_state(p: SystemParams) -> DensityMatrix:
     return dm
 
 
+def _hint_state(p: SystemParams) -> DensityMatrix:
+    """The state of :func:`steady_state` from one LAPACK solve, without
+    :func:`solve_linear`'s pivot threshold: a hint for the root finders,
+    never a reported number, since it may pass the gate where no steady
+    state is unique (rho11 conserved).  Raises ``TRAPPED``,
+    ``BAD_SOLUTION`` and, where LAPACK finds the matrix singular,
+    ``LinAlgError``."""
+    a = assemble(p)
+    _check_trap(p)
+    dm = DensityMatrix(rho=np.linalg.solve(a, RHS).reshape(4, 4), system_matrix=a)
+    dm.validate()
+    return dm
+
+
 def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
     """Exact derivative d(rho)/d(theta) of the steady state ``dm`` with
     respect to the ``SystemParams`` field ``wrt``, as a 4x4 array.
@@ -333,7 +353,7 @@ def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
     with ``dm.system_matrix``, the matrix the steady state solve accepted.
     Raises ``ValueError`` for an unknown field and for a state that carries
     no matrix, ``SINGULAR`` when the matrix is singular, and
-    ``BAD_SOLUTION`` from :func:`_check_derivative`."""
+    ``BAD_SOLUTION`` when the derivative fails :func:`_gate`."""
     if wrt not in PARAM_FIELDS:
         raise ValueError(f"unknown parameter {wrt!r}")
     a = dm.system_matrix
@@ -344,15 +364,9 @@ def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
         dx = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"derivative system singular: {exc}", code="SINGULAR") from exc
-    _check_derivative(a, dx, rhs)
-    return dx.reshape(4, 4)
-
-
-def _check_derivative(a: np.ndarray, dx: np.ndarray, rhs: np.ndarray) -> None:
-    """Raise ``BAD_SOLUTION`` unless the derivative ``dx`` solving
-    ``a dx = rhs`` passes :func:`_gate`."""
     r = (a @ dx - rhs)[None]
     _gate(dx[None], r, _norm(a), np.abs(rhs).max(), derivative=True, strict=True)
+    return dx.reshape(4, 4)
 
 
 class _Resolvent:
@@ -392,24 +406,6 @@ class _Resolvent:
             x += self._apply(r, den)
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
             return x, _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
-
-    def state_and_derivative(self, s: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """The state at ``s`` and its exact derivative along the field, from
-        A(s) dx = -B x with one refinement step, or None when the state or
-        the derivative (by :func:`_check_derivative`) is refused."""
-        x, ok = self.states(np.array([s]))
-        if not ok[0]:
-            return None
-        # an accepted state is finite, so no 1 + t mu vanishes
-        x, t = x[0], s - self.s0
-        a, rhs, den = self.a0 + t * self.b, -(self.b @ x), 1.0 + t * self.mu
-        dx = self._apply(rhs, den)
-        dx += self._apply(rhs - a @ dx, den)
-        try:
-            _check_derivative(a, dx, rhs)
-        except NumericError:
-            return None
-        return x, dx
 
     @staticmethod
     def agrees(chi: np.ndarray, ok: np.ndarray, far: int, reference: complex) -> bool:

@@ -31,16 +31,15 @@ def test_one_traced_pass(workload):
         # the cross-check at the far end of the grid
         assert metrics["steady_state.calls"] <= 1
     if workload == "pump_scan":
-        # every zero search hits on its first, seeded bracket, whose
-        # probe-free state is a LAPACK solve, not a steady_state; both
-        # ends' signs and the Newton iterates of each search come from the
-        # resolvent built at its lower end, whose one cross-check is the
-        # direct solve at the root: 18 solves a pass at seed 0 (one
-        # verification per zero, which the slope and group index at delta0
-        # reuse, and one chi_at at each threshold), 33 with a cross-check
-        # at each upper end, 48 with a probe-free solve per zero, 66 with a
-        # direct solve at each lower end, 115 with a solve per iterate, 145
-        # without the verification's reuse, and 216 with the decade search
-        # alone
+        # every zero search hits on its first, seeded bracket; the seed's
+        # probe-free state, both ends and the Newton iterates of each
+        # search are hint states (LAPACK solves under the gate), not
+        # steady_state solves.  Each reported root passes one steady_state:
+        # 18 solves a pass at seed 0 (one verification per zero, which the
+        # slope and group index at delta0 reuse, and one chi_at at each
+        # threshold), 33 with a check at each upper end, 48 with a
+        # probe-free solve per zero, 66 with a solve at each lower end, 115
+        # with a solve per iterate, 145 without the verification's reuse,
+        # and 216 with the decade search alone
         assert metrics["steady_state.calls"] <= 18
         assert metrics["observables.find_absorption_zero_auto.bracket_hit_ratio"] == 1.0

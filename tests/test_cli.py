@@ -226,7 +226,7 @@ class TestZeroAndThreshold:
         from darkres import sweep
 
         solves = count_calls("steady_state", darkres, observables, sweep)
-        assembles = count_calls("assemble", darkres, steady_state_module, observables)
+        assembles = count_calls("assemble", darkres, steady_state_module)
         code, out, err = run_cli(["zero", "--set", "g42=0", "--set", "lambda=0"], capsys)
         assert code == 3
         assert err == (

@@ -70,3 +70,21 @@ def test_seed_rule_stays_in_observables(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_solve_stays_in_steady_state():
+    # steady_state is the one module that solves, inverts or diagonalizes
+    # a matrix: the root finders' hints and the seed's state come from it
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "darkres").glob("*.py"))
+    assert "steady_state.py" in [path.name for path in modules]
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        if path.name != "steady_state.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"solve", "inv", "eig"}
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    ]
+    assert calls == []

@@ -1,8 +1,8 @@
 """The bracketed Newton root finders against the scan-and-bisect finders
 they replaced, kept here as a reference; the first-order seed of the
-automatic zero finder against its decade search; Newton iterates on the
-resolvent against direct solves; and the safeguard of the Newton routine
-itself."""
+automatic zero finder against its decade search; bracket ends and Newton
+iterates on hint states against steady_state solves; and the safeguard of
+the Newton routine itself."""
 
 import importlib
 import json
@@ -36,6 +36,7 @@ from darkres.observables import (
 )
 
 from test_steady_state import conserved_rho11_draws
+from test_sweep import refuse_seed_state
 
 steady_state_module = importlib.import_module("darkres.steady_state")
 
@@ -206,15 +207,18 @@ def test_unverified_root_is_no_convergence(monkeypatch):
         assert exc.value.code == "NO_CONVERGENCE"
 
 
-def test_miss_costs_one_solve_and_one_resolvent(count_calls):
-    """The lower end comes from the resolvent built there, so a bracket
-    whose ends share a sign costs the upper end's solve and that build."""
+def test_miss_costs_one_solve_and_two_hints(count_calls):
+    """Both ends are hint states, so a bracket whose ends share a sign
+    costs those two hints and the solve at the upper end that confirms
+    the miss, and builds no resolvent."""
     solves = count_calls("steady_state", observables)
-    builds = count_calls("_Resolvent", observables)
+    hints = count_calls("_hint_state", observables)
+    builds = count_calls("_Resolvent", steady_state_module, sweep)
     with pytest.raises(NumericError):
         find_absorption_zero(SPIKE, MEDIUM, (1e-5, 1e-3))
     assert [args[0].delta_p for args in solves] == [1e-3]
-    assert [args[0].delta_p for args in builds] == [1e-5]
+    assert [args[0].delta_p for args in hints] == [1e-5, 1e-3]
+    assert builds == []
 
 
 # --- the first-order seed against the decade search alone ---
@@ -373,10 +377,9 @@ def test_strong_probe_takes_the_decade_path(count_calls):
         pytest.param(NumericError("probe block singular", code="SINGULAR"), id="raises"),
         pytest.param(1e15, id="beyond-reach"),
         pytest.param(0.5 * 2.6241e-4, id="misses"),
-        # the seed's probe-free matrix: one whose state has trace 1/2,
-        # which the gate refuses, and a singular one, on which LAPACK raises
-        pytest.param(2.0 * np.eye(16), id="state-refused"),
-        pytest.param(np.zeros((16, 16)), id="state-singular"),
+        # the seed's hint refused by the gate, or by LAPACK
+        pytest.param("gate", id="state-refused"),
+        pytest.param("linalg", id="state-singular"),
     ],
 )
 def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
@@ -386,8 +389,8 @@ def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
         return side * seed
 
     expected = decade_zero(PUMPED, MEDIUM)
-    if isinstance(seed, np.ndarray):
-        monkeypatch.setattr(observables, "assemble", lambda p: seed.astype(complex))
+    if isinstance(seed, str):
+        refuse_seed_state(monkeypatch, seed)
         assert observables._seed_bracket(PUMPED, +1, math.inf) is None
     else:
         monkeypatch.setattr(observables, "_first_order_zero", first_order)
@@ -395,13 +398,18 @@ def test_failed_seed_falls_back_to_the_decade_root(seed, monkeypatch):
 
 
 def test_conserved_rho11_is_singular_with_the_seed_tried():
-    # rho11 conserved (g41 = g42 = gamma13 = 0): LAPACK's probe-free seed
-    # state passes the gate on some of these draws, where steady_state's
-    # pivot threshold refuses every one; the search must still say SINGULAR
+    # rho11 conserved (g41 = g42 = gamma13 = 0): LAPACK's hint states, the
+    # seed's and the searches', pass the gate on some of these draws, where
+    # steady_state's pivot threshold refuses every one.  Every exit of
+    # either finder passes a steady_state solve, so each must still say
+    # SINGULAR, or TRAPPED for a pump range from 0
     for p in conserved_rho11_draws():
-        p = replace(p, g_p=min(p.g_p, 0.9 * WEAK_PROBE_FACTOR * p.gamma23))
+        weak = replace(p, g_p=min(p.g_p, 0.9 * WEAK_PROBE_FACTOR * p.gamma23))
         for side in (+1, -1):
-            assert outcome(find_absorption_zero_auto, p, MEDIUM, side) == "SINGULAR", p
+            assert outcome(find_absorption_zero_auto, weak, MEDIUM, side) == "SINGULAR", p
+        assert outcome(find_absorption_zero, p, MEDIUM, (1e-5, 1e-3)) == "SINGULAR", p
+        assert outcome(find_gain_threshold, p, MEDIUM, (1e-8, 1e-2)) == "SINGULAR", p
+        assert outcome(find_gain_threshold, p, MEDIUM, (0.0, 1e-2)) == "TRAPPED", p
 
 
 def test_seeded_bracket_error_falls_back(monkeypatch):
@@ -420,7 +428,7 @@ def test_seeded_bracket_error_falls_back(monkeypatch):
     assert brackets[1] == auto_zero_bracket(PUMPED)
 
 
-# --- Newton iterates on the resolvent against direct solves ---
+# --- bracket ends and Newton iterates on hint states against steady_state ---
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "data" / "golden.json").read_text(encoding="utf-8")
@@ -428,46 +436,22 @@ GOLDEN = json.loads(
 
 
 def force_direct_route(monkeypatch):
-    """Refuse every resolvent, so that each Newton iterate is solved on its
-    own, as before the finders used it."""
+    """Refuse every hint state but the seed's (g_p = 0), so that each
+    bracket end and Newton iterate is a steady_state solve."""
+    real = observables._hint_state
 
-    def refuse(*args):
-        raise np.linalg.LinAlgError("resolvent refused")
+    def refuse(p):
+        if p.g_p != 0:
+            raise np.linalg.LinAlgError("hint refused")
+        return real(p)
 
-    monkeypatch.setattr(observables, "_Resolvent", refuse)
-
-
-def golden_drive_roots():
-    """The gain threshold of each golden pump drive, and the crossings on
-    both sides at every point of its sweep, or the error codes."""
-    found = []
-    for drive in GOLDEN["pump_drives"]:
-        overrides = {"g42": repr(drive["g42"]), "start": repr(drive["start"])}
-        spec = parse_config(GOLDEN["pump_config"], overrides)
-        lambda_range = tuple(GOLDEN["threshold_range"])
-        found.append(outcome(find_gain_threshold, spec.params, spec.medium, lambda_range))
-        for lam in spec.grid():
-            p = replace(spec.params, lambda_pump=lam)
-            found.extend(outcome(find_absorption_zero_auto, p, spec.medium, s) for s in (1, -1))
-    return found
+    monkeypatch.setattr(observables, "_hint_state", refuse)
 
 
-@pytest.mark.parametrize(
-    "gate, value",
-    [
-        # the resolvent's backward-error gate reads the shared BACKWARD_TOL
-        pytest.param("BACKWARD_TOL", -1.0, id="RESOLVENT_BACKWARD_TOL--1.0"),
-        ("RESOLVENT_COND_MAX", 0.0),
-        ("RESOLVENT_AGREEMENT_RTOL", -1.0),
-    ],
-)
-def test_failed_gate_reproduces_direct_route(monkeypatch, refuse_resolvent_gate, gate, value):
+def forced_direct(monkeypatch, finder, *args):
     with monkeypatch.context() as mp:
         force_direct_route(mp)
-        direct = golden_drive_roots()
-    assert all(isinstance(root, float) for root in direct)
-    refuse_resolvent_gate(gate, value)
-    assert golden_drive_roots() == direct
+        return outcome(finder, *args)
 
 
 @pytest.mark.parametrize(
@@ -495,88 +479,100 @@ def test_failed_gate_reproduces_direct_route(monkeypatch, refuse_resolvent_gate,
     ],
 )
 def test_lower_end_edge_cases_match_direct_route(monkeypatch, finder, p, bracket, want):
-    """The lower end taken from the resolvent gives the direct route's
-    root or error code where that end is singular, trapped or unsigned."""
+    """The lower end taken from a hint gives the steady_state route's root
+    or error code where that end is singular, trapped or unsigned."""
     got = outcome(finder, p, MEDIUM, bracket)
-    with monkeypatch.context() as mp:
-        force_direct_route(mp)
-        direct = outcome(finder, p, MEDIUM, bracket)
+    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
     assert_same(got, direct, 1e-10)
     assert_same(got, want, 1e-4)
 
 
-def test_resolvent_route_agrees_with_direct_route_on_seeded_draws(monkeypatch, count_calls):
-    """25 pumped draws like the bench's random states: the crossings on
-    both sides and the gain threshold within 1e-10 of the direct route's,
-    and the same error codes.  Every Newton iterate comes from the
-    resolvent, so the only direct evaluations are the zero finder's
+def trap_edge_draw(rng):
+    """The weak-coupling trap corner: gamma13 and g41 at or near 0, a weak
+    to strong drive, and no pump or a weak one."""
+    return SystemParams(
+        g41=float(rng.choice([0.0, 1e-6, 1e-4, 1e-3, 0.04])), g42=10 ** rng.uniform(-3, 1),
+        g_p=1e-4, gamma13=float(rng.choice([0.0, 1e-12, 1e-8])),
+        lambda_pump=0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-9, -3), **MERCURY,
+    )
+
+
+@pytest.mark.parametrize(
+    "draw, count, roots_at_least",
+    [
+        pytest.param(lambda rng: seeded_draw(rng, pumped=True), 25, 70, id="pumped"),
+        pytest.param(trap_edge_draw, 150, 40, id="trap-edge"),
+    ],
+)
+def test_hint_route_agrees_with_direct_route_on_seeded_draws(
+    monkeypatch, count_calls, draw, count, roots_at_least
+):
+    """The crossings on both sides and the gain thresholds from 1e-8 and
+    from 0 within 1e-10 of the steady_state route's, and the same error
+    codes: 25 pumped draws like the bench's random states, and 150 at the
+    trap edge.  Every end and Newton iterate is a hint, so the only
+    steady_state evaluations with a derivative are the zero finder's
     verifications, one per crossing found."""
     rng = np.random.default_rng(20)
-    draws = [seeded_draw(rng, pumped=True) for _ in range(25)]
+    draws = [draw(rng) for _ in range(count)]
 
     def roots():
         zeros = [outcome(find_absorption_zero_auto, p, MEDIUM, s) for p in draws for s in (1, -1)]
-        stars = [outcome(find_gain_threshold, p, MEDIUM, (1e-8, 1e-2)) for p in draws]
-        return zeros, stars
+        ranges = ((1e-8, 1e-2), (0.0, 1e-2))
+        stars = [outcome(find_gain_threshold, p, MEDIUM, r) for p in draws for r in ranges]
+        return zeros + stars
 
     direct = count_calls("_chi_and_derivative", observables)
-    zeros, stars = roots()
-    found = sum(isinstance(root, float) for root in zeros)
-    assert len(direct) == found >= 20
+    found = roots()
+    assert len(direct) == sum(isinstance(root, float) for root in found[: 2 * count])
+    assert sum(isinstance(root, float) for root in found) >= roots_at_least
     with monkeypatch.context() as mp:
         force_direct_route(mp)
-        ref_zeros, ref_stars = roots()
-    assert all(isinstance(star, float) for star in ref_stars)
-    for got, want in zip(zeros + stars, ref_zeros + ref_stars):
+        ref = roots()
+    for got, want in zip(found, ref):
         assert_same(got, want, 1e-10)
 
 
 def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
+    """A Newton iterate whose hint is refused is solved by steady_state,
+    and no other value is: the only other solve is the check at the root."""
     expected = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
-    real = steady_state_module._Resolvent.state_and_derivative
+    real = observables._hint_state
     asked = []
 
-    def refuse_first(self, s):
-        asked.append(s)
-        return None if len(asked) == 1 else real(self, s)
+    def refuse_first_iterate(p):
+        asked.append(p.lambda_pump)
+        if len(asked) == 3:
+            raise NumericError("hint refused", code="BAD_SOLUTION")
+        return real(p)
 
-    monkeypatch.setattr(steady_state_module._Resolvent, "state_and_derivative", refuse_first)
+    monkeypatch.setattr(observables, "_hint_state", refuse_first_iterate)
     direct = count_calls("_chi_and_derivative", observables)
+    solves = count_calls("steady_state", observables)
     star = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
-    assert len(asked) >= 3
-    assert [args[0].lambda_pump for args in direct] == asked[:1]
+    assert asked[:2] == [1e-8, 1e-2] and len(asked) >= 5
+    assert [args[0].lambda_pump for args in direct] == asked[2:3]
+    assert [args[0].lambda_pump for args in solves] == [asked[2], star]
     assert star == pytest.approx(expected, rel=1e-10)
 
 
-# --- the resolvent's one cross-check, at the root ---
+def perturb_hints(monkeypatch, field, change):
+    """Give the hint state at the value s of ``field`` the probe coherence
+    ``change(s, rho23)``, after its gate has judged it."""
+    real = observables._hint_state
 
-RHO23 = steady_state_module._index(2, 3)
+    def perturbed(p):
+        dm = real(p)
+        rho = dm.rho.copy()
+        rho[1, 2] = change(getattr(p, field), rho[1, 2])
+        return DensityMatrix(rho, system_matrix=dm.system_matrix)
 
-
-def perturb_resolvent(monkeypatch, change):
-    """Give every resolvent row at the axis value s the probe coherence
-    ``change(s, rho23)``, after its gate has judged it; the Newton iterates
-    read their states through the same rows."""
-    real = steady_state_module._Resolvent.states
-
-    def perturbed(self, s):
-        x, ok = real(self, s)
-        x = x.copy()
-        x[:, RHO23] = [change(v, rho) for v, rho in zip(s.tolist(), x[:, RHO23])]
-        return x, ok
-
-    monkeypatch.setattr(steady_state_module._Resolvent, "states", perturbed)
+    monkeypatch.setattr(observables, "_hint_state", perturbed)
 
 
 def at_value(target, change):
-    """A perturbation of the row at exactly ``target``, and of no other."""
+    """A perturbation of the state at exactly ``target``, and of no other."""
     return lambda s, rho: change(rho) if s == target else rho
-
-
-def forced_direct(monkeypatch, finder, *args):
-    with monkeypatch.context() as mp:
-        force_direct_route(mp)
-        return outcome(finder, *args)
 
 
 FINDER_CASES = [
@@ -586,104 +582,41 @@ FINDER_CASES = [
 
 
 @pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
-def test_resolvent_wrong_at_its_root_gives_the_direct_root(
-    monkeypatch, count_calls, finder, p, bracket, field
-):
-    """The Newton iterates never sit on the returned root, so a resolvent
-    wrong there alone steers nothing, and only the cross-check sees it:
-    the ends and the iterates are then solved directly.  chi nearly
-    vanishes at a threshold, so the error is 1e-9 of |rho23| at lo."""
-    root = finder(p, MEDIUM, bracket)
-    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
-    assert root == pytest.approx(direct, rel=1e-10)
-    error = 1e-9 * abs(steady_state(replace(p, **{field: bracket[0]})).element(2, 3))
-    perturb_resolvent(monkeypatch, at_value(root, lambda rho: rho + error))
-    solves = count_calls("steady_state", observables)
-    assert outcome(finder, p, MEDIUM, bracket) == direct
-    assert getattr(solves[0][0], field) == root
-    assert [getattr(args[0], field) for args in solves[1:3]] == [bracket[1], bracket[0]]
-
-
-@pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
-def test_resolvent_wrong_at_hi_only_moves_the_start(
-    monkeypatch, count_calls, finder, p, bracket, field
-):
-    """The upper end's value, wrong but of the right sign, only moves the
-    secant start: the root stays within the finder's tolerance of the
-    direct route's, and nothing is solved at hi."""
-    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
-    perturb_resolvent(monkeypatch, at_value(bracket[1], lambda rho: 3 * rho))
-    solves = count_calls("steady_state", observables)
-    assert outcome(finder, p, MEDIUM, bracket) == pytest.approx(direct, rel=1e-6)
-    assert len(solves) == 1 and getattr(solves[0][0], field) != bracket[1]
-
-
-@pytest.mark.parametrize("finder, p, bracket, field", FINDER_CASES)
 def test_wrongly_reported_miss_is_refused_by_the_solve_at_hi(
     monkeypatch, count_calls, finder, p, bracket, field
 ):
-    """A resolvent whose upper end has the wrong sign reports a miss where
-    the bracket holds a crossing; the direct solve at hi refuses it, and
-    the direct route finds the crossing."""
+    """A hint at the upper end with the wrong sign reports a miss where the
+    bracket holds a crossing; the steady_state solve at hi overrules it,
+    and the search finds the crossing."""
     direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
-    perturb_resolvent(monkeypatch, at_value(bracket[1], lambda rho: rho.conjugate()))
+    perturb_hints(monkeypatch, field, at_value(bracket[1], lambda rho: rho.conjugate()))
     solves = count_calls("steady_state", observables)
-    assert outcome(finder, p, MEDIUM, bracket) == direct
+    assert outcome(finder, p, MEDIUM, bracket) == pytest.approx(direct, rel=1e-10)
     assert getattr(solves[0][0], field) == bracket[1]
-
-
-@pytest.mark.parametrize(
-    "finder, p, bracket, field",
-    [
-        pytest.param(find_absorption_zero, SPIKE, (1e-5, 1e-3), "delta_p", id="zero"),
-        pytest.param(
-            find_gain_threshold, replace(SPIKE, g42=0.0), (1e-8, 1e-2), "lambda_pump",
-            id="threshold",
-        ),
-    ],
-)
-def test_resolvent_wrong_near_hi_cannot_make_a_crossing(
-    monkeypatch, count_calls, finder, p, bracket, field
-):
-    """A resolvent error that grows towards hi and flips its sign there
-    makes a crossing the bracket does not hold; at that false root the
-    resolvent is off by the whole of chi'', so the cross-check refuses it
-    and the direct route reports the miss."""
-    lo, hi = bracket
-    mid = math.sqrt(lo * hi)
-    flip = -2j * steady_state(replace(p, **{field: hi})).element(2, 3).imag
-    direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
-    assert direct == "NO_SIGN_CHANGE"
-    perturb_resolvent(
-        monkeypatch,
-        lambda s, rho: rho + flip * ((s - mid) / (hi - mid)) ** 2 if s > mid else rho,
-    )
-    searches = count_calls("_bracketed_newton", observables)
-    assert outcome(finder, p, MEDIUM, bracket) == direct
-    # the one search ran on the resolvent; the direct ends share a sign
-    assert len(searches) == 1
 
 
 def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
     """One curve of the pump-scan figure at g42 = 4: the gain threshold,
     then a DELTA0, SLOPE, NG sweep from just above it.  Each matrix is
-    assembled once, by the direct solve or the resolvent build that uses
-    it, or by the zero search's seed; derivatives take it from the solved
-    state, and the first-order crossing from the seed's."""
-    assert not hasattr(sweep, "assemble")
+    assembled once, by the steady_state or the hint state that solves it;
+    derivatives take it from the solved state, and the first-order
+    crossing from the seed's hint.  Neither finder builds a resolvent."""
+    assert not hasattr(sweep, "assemble") and not hasattr(observables, "assemble")
+    assert not hasattr(observables, "_Resolvent")
     assembles = count_calls("assemble", steady_state_module)
-    seed_assembles = count_calls("assemble", observables)
+    hints = count_calls("_hint_state", observables)
     seeds = count_calls("_seed_bracket", observables)
     solves = count_calls("steady_state", observables, sweep)
-    builds = count_calls("_Resolvent", observables, sweep)
+    builds = count_calls("_Resolvent", steady_state_module, sweep)
     overrides = {"g42": "4", "outputs": "DELTA0,SLOPE,NG", "start": "1e-5"}
     base = parse_config(GOLDEN["pump_config"], overrides)
     star = find_gain_threshold(base.params, base.medium, tuple(GOLDEN["threshold_range"]))
     spec = parse_config(GOLDEN["pump_config"], overrides | {"start": repr(1.01 * star)})
     table = run_sweep(spec)
     assert len(table.rows) == spec.points and not table.failures
-    assert len(assembles) == len(solves) + len(builds) > 0
-    assert len(seed_assembles) == len(seeds) == spec.points
+    assert len(assembles) == len(solves) + len(hints) > len(solves)
+    assert builds == []
+    assert len(seeds) == spec.points
 
 
 # --- the safeguarded Newton routine ---

@@ -662,10 +662,14 @@ def seed_or_code(p, side):
 
 
 def refuse_seed_state(monkeypatch, refusal):
-    """Give the seed a probe-free matrix whose state the gate refuses
-    (trace 1/2), or a singular one, on which LAPACK raises."""
+    """Give the seed's hint, and no other, a probe-free matrix whose state
+    the gate refuses (trace 1/2), or a singular one, on which LAPACK
+    raises."""
     a = 2.0 * np.eye(16) if refusal == "gate" else np.zeros((16, 16))
-    monkeypatch.setattr(observables, "assemble", lambda p: a.astype(complex))
+    real = steady_state_module.assemble
+    monkeypatch.setattr(
+        steady_state_module, "assemble", lambda p: a.astype(complex) if p.g_p == 0 else real(p)
+    )
 
 
 class TestProbeFreeSeeds:
@@ -770,8 +774,8 @@ def test_zero_sweep_without_feature_scale_assembles_nothing(count_calls):
     # no pump and no coupling field: the automatic bracket raises before
     # the seed is solved or any resolvent is built
     spec = delta0_spec(dict(SPIKE, g42=0.0), Axis.DELTA_P, -1e-3, 1e-3, points=3)
-    assembles = count_calls("assemble", steady_state_module, observables)
-    builds = count_calls("_Resolvent", observables, sweep)
+    assembles = count_calls("assemble", steady_state_module)
+    builds = count_calls("_Resolvent", sweep)
     table = run_sweep(spec)
     assert table.failures == [(x, "NO_SIGN_CHANGE") for x in spec.grid()]
     assert assembles == builds == []
