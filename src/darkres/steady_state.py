@@ -339,6 +339,7 @@ def _hint_state(p: SystemParams) -> DensityMatrix:
     ``LinAlgError``."""
     a = assemble(p)
     _check_trap(p)
+    a.setflags(write=False)
     dm = DensityMatrix(rho=np.linalg.solve(a, RHS).reshape(4, 4), system_matrix=a)
     dm.validate()
     return dm

@@ -498,6 +498,7 @@ class TestHintState:
             hint, dm = steady_state_module._hint_state(p), steady_state(p)
             assert np.max(np.abs(hint.rho - dm.rho)) <= 1e-13
             assert np.array_equal(hint.system_matrix, dm.system_matrix)
+            assert not hint.system_matrix.flags.writeable
 
     def test_passes_the_gate_where_no_state_is_unique(self):
         # why every reported state keeps the pivot threshold: with rho11
