@@ -113,16 +113,13 @@ def chi_at(
 
 
 @lru_cache(maxsize=1)
-def _chi_and_derivative(
-    p: SystemParams, m: MediumParams, wrt: str
-) -> tuple[complex, complex]:
-    """Numeric chi at ``p`` and its exact derivative with respect to the
-    ``SystemParams`` field ``wrt``: one steady state and one derivative
-    solve with the same matrix, since chi is linear in rho23.  The last
-    result is kept, so the zero finder's verification at delta0 also
-    serves the slope and group index there."""
+def _chi_and_derivative(p: SystemParams, m: MediumParams) -> tuple[complex, complex]:
+    """Numeric chi at ``p`` and its exact probe-detuning derivative: one
+    steady state and one derivative solve with the same matrix, since chi
+    is linear in rho23.  The last result is kept, so the zero finder's
+    verification at delta0 also serves the slope and group index there."""
     dm = steady_state(p)
-    drho = steady_state_derivative(dm, wrt)
+    drho = steady_state_derivative(dm, "delta_p")
     return (
         susceptibility(dm.element(2, 3), m, p.g_p),
         susceptibility(complex(drho[1, 2]), m, p.g_p),
@@ -137,7 +134,7 @@ def _chi_and_slope(
     closed form's own derivative otherwise."""
     p = replace(p, delta_p=delta_p)
     if method is Method.NUMERIC:
-        return _chi_and_derivative(p, m, "delta_p")
+        return _chi_and_derivative(p, m)
     rho, drho = _CLOSED_FORMS[method](p)
     return susceptibility(rho, m, p.g_p), susceptibility(drho, m, p.g_p)
 
@@ -241,32 +238,36 @@ def _im_chi_crossing(
     ``no_sign_change``; then safeguarded Newton on the exact derivative
     along ``field``, to relative tolerance ``tol`` in x, or in u = ln(x)
     when ``in_log``.  Both ends and the iterates are hint states
-    (``steady_state._hint_state``); a value whose hint is refused alone is
-    solved by ``steady_state``.  So the root is a hint too, and the caller
-    solves it once more; a miss is reported only when ``chi_at`` at hi
-    confirms it."""
+    (``steady_state._hint_state``); a value whose hint or its derivative
+    is refused is solved by ``steady_state``.  So the root is a hint too,
+    and the caller solves it once more; a miss is reported only when
+    ``chi_at`` confirms it at the end farther from zero."""
     def at(x: float) -> SystemParams:
         return replace(p, **{field: x})
 
     def im_chi(x: float) -> float:
         try:
-            rho = _hint_state(at(x)).element(2, 3)
+            dm = _hint_state(at(x))
         except (NumericError, np.linalg.LinAlgError):
-            return chi_at(at(x), m).imag
-        return susceptibility(rho, m, p.g_p).imag
+            dm = steady_state(at(x))
+        return susceptibility(dm.element(2, 3), m, p.g_p).imag
 
     def im_chi_and_slope(x: float) -> tuple[float, float]:
         try:
             dm = _hint_state(at(x))
-            rho, drho = dm.element(2, 3), complex(steady_state_derivative(dm, field)[1, 2])
+            drho = steady_state_derivative(dm, field)
         except (NumericError, np.linalg.LinAlgError):
-            chi, dchi = _chi_and_derivative(at(x), m, field)
-            return chi.imag, dchi.imag
-        return susceptibility(rho, m, p.g_p).imag, susceptibility(drho, m, p.g_p).imag
+            dm = steady_state(at(x))
+            drho = steady_state_derivative(dm, field)
+        chi = susceptibility(dm.element(2, 3), m, p.g_p)
+        return chi.imag, susceptibility(complex(drho[1, 2]), m, p.g_p).imag
 
     f_lo, f_hi = im_chi(lo), im_chi(hi)
     if not _signs_differ(f_lo, f_hi):
-        f_hi = chi_at(at(hi), m).imag
+        if abs(lo) > abs(hi):
+            f_lo = chi_at(at(lo), m).imag
+        else:
+            f_hi = chi_at(at(hi), m).imag
         if not _signs_differ(f_lo, f_hi):
             raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
     if not in_log:
@@ -367,12 +368,12 @@ def find_absorption_zero(
     derivative at the root, under the derivative's own gates (a refused
     derivative refuses the root), so that ``dispersion_slope`` and
     ``group_index`` at the returned root solve nothing more.  The ends and
-    the iterates are hint states, so a root costs that one
-    ``steady_state``, and a miss the one at the upper end.  Raises
-    ``NO_SIGN_CHANGE`` when the ends share a sign: when chi'' is
-    single-signed over the bracket (pump below the onset of
-    transparency), and also when the bracket holds an even number of
-    crossings, e.g. one straddling the whole gain core.
+    the iterates are hint states (one whose hint is refused is solved), so
+    a root costs that one ``steady_state``, and a miss the one at the end
+    farther from zero.  Raises ``NO_SIGN_CHANGE`` when the ends share a
+    sign: when chi'' is single-signed over the bracket (pump below the
+    onset of transparency), and also when the bracket holds an even number
+    of crossings, e.g. one straddling the whole gain core.
     Uses the numeric route only: the crossing arises from the interplay of
     the gain feature with the Autler-Townes background, which no single
     closed form captures.
@@ -385,7 +386,7 @@ def find_absorption_zero(
         p, m, "delta_p", lo, hi, ZERO_REL_TOL,
         "absorption does not change sign between the bracket ends",
     )
-    chi, _ = _chi_and_derivative(replace(p, delta_p=root), m, "delta_p")
+    chi, _ = _chi_and_derivative(replace(p, delta_p=root), m)
     if not abs(chi.imag) <= ZERO_IM_TOL:
         raise NumericError(
             "zero crossing did not verify below tolerance", code="NO_CONVERGENCE"
@@ -405,11 +406,11 @@ def find_absorption_zero_auto(p: SystemParams, m: MediumParams, side: int = +1) 
     its bracket, moves on to the decade brackets.
     These start from the automatic bracket and widen it tenfold, up to
     ``ZERO_BRACKET_EXPANSIONS`` times, while the ends share a sign (a miss
-    costs one solve): for strong drives the crossing sits many gain half
-    widths out (the gain wing decays slowly against a background
-    suppressed by optical pumping), beyond any fixed small multiple of the
-    feature scale.  A first-order crossing beyond the widest decade
-    bracket is not tried.
+    costs one solve, at the end that moves): for strong drives the
+    crossing sits many gain half widths out (the gain wing decays slowly
+    against a background suppressed by optical pumping), beyond any fixed
+    small multiple of the feature scale.  A first-order crossing beyond
+    the widest decade bracket is not tried.
     """
     lo, hi = auto_zero_bracket(p)
     decades = [(lo, hi)]
@@ -441,10 +442,11 @@ def find_gain_threshold(
     of the pump range; safeguarded Newton on the exact pump derivative of
     the steady state then refines the sign change to relative tolerance
     1e-3, in u = ln(lambda) when the range is positive and in lambda when
-    it starts at 0.  The ends and the iterates are hint states, and one
-    ``chi_at`` solve at the root checks it, as one at the upper end checks
-    a miss.  Raises ``NO_SIGN_CHANGE`` when the ends share a sign, e.g.
-    without the coupling field there is no feature to invert.
+    it starts at 0.  The ends and the iterates are hint states, solved
+    where refused, and one ``chi_at`` solve at the root checks it, as one
+    at the upper end (the end farther from zero) checks a miss.  Raises
+    ``NO_SIGN_CHANGE`` when the ends share a sign, e.g. without the
+    coupling field there is no feature to invert.
     """
     lo, hi = lambda_range
     if not hi > lo or lo < 0:

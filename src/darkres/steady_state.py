@@ -391,10 +391,6 @@ class _Resolvent:
         self.coeffs = self.w_inv @ (self.a0_inv @ RHS)
         self.norm_a0, self.norm_b = _norm(self.a0), _norm(self.b)
 
-    def _apply(self, v: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """A(s)^-1 v for each row of ``v``, with den = 1 + t mu."""
-        return ((v @ self.a0_inv.T) @ self.w_inv.T / den) @ self.w.T
-
     def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states at the axis values ``s`` (rows), refined once, and the
         mask of those that pass :func:`_gate`, with ||A(s)|| <= ||A0|| +
@@ -404,7 +400,7 @@ class _Resolvent:
             den = 1.0 + t * self.mu
             x = (self.coeffs / den) @ self.w.T
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
-            x += self._apply(r, den)
+            x += ((r @ self.a0_inv.T) @ self.w_inv.T / den) @ self.w.T
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
             return x, _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -178,8 +177,8 @@ def _evaluate_point(
     spec: SweepSpec, x: float, zero: float | str | None = None
 ) -> tuple[float, tuple[float, ...] | None, str | None]:
     """Compute all requested outputs at one axis value.  With DELTA0,
-    ``zero`` is the point's crossing or the error code of its search
-    (:func:`_zero_searches`); when None, the point runs its own search.
+    ``zero`` is the crossing a DELTA_P sweep shares or its search's error
+    code (:func:`run_sweep`); when None, the point runs its own search.
 
     Returns (x, row, None) on success or (x, None, error_code) when any
     requested output fails numerically.
@@ -233,9 +232,9 @@ def _resolvent_sweep(
     not apply to the whole sweep: when the resolvent (at a trapped base
     too) or the cross-check solve at the last grid point (no nearer the
     base than the first) raises, or when :meth:`_Resolvent.agrees` refuses
-    that point against the cross-check.
-    A point it refuses, by its gate or at lambda = 0 (which may trap), is
-    evaluated on its own."""
+    that point against the cross-check.  A point it refuses, by its gate
+    or at lambda = 0 (which may trap), is solved by :func:`_evaluate_point`
+    with no zero to share, since the route's outputs hold no DELTA0."""
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
@@ -274,23 +273,6 @@ def _resolvent_sweep(
     ]
 
 
-def _zero_searches(spec: SweepSpec, grid: list[float]) -> Iterable[float | str]:
-    """Each grid point's zero crossing from ``find_absorption_zero_auto``,
-    or the error code of its search.  A DELTA_P sweep runs one search for
-    every point: the search replaces delta_p, so the point moves nothing it
-    reads."""
-
-    def search(x: float) -> float | str:
-        try:
-            return find_absorption_zero_auto(_point_params(spec, x), spec.medium)
-        except NumericError as exc:
-            return exc.code
-
-    if spec.axis is Axis.DELTA_P:
-        return repeat(search(grid[0]), len(grid))
-    return map(search, grid)
-
-
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep in grid order.
 
@@ -299,11 +281,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     grid points are not evaluated independently, and its values agree
     with per-point ``chi_at`` and ``steady_state`` to about 1e-12 relative
     rather than bit for bit.  Points the route's gates reject, and every
-    other sweep, are evaluated point by point, a DELTA0 sweep with the
-    zero searches of :func:`_zero_searches`.  Per-point numeric failures
-    (for example NO_SIGN_CHANGE from the absorption-zero finder below the
-    gain onset) are recorded in the failure log and excluded from the
-    rows; spec-level validation errors are fatal.
+    other sweep, are evaluated point by point; a DELTA_P sweep with DELTA0
+    runs here the one zero search that all its points share.  Per-point
+    numeric failures (for example NO_SIGN_CHANGE from the absorption-zero
+    finder below the gain onset) are recorded in the failure log and
+    excluded from the rows; spec-level validation errors are fatal.
     """
     spec.validate()
     grid = spec.grid()
@@ -311,8 +293,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if spec.method is Method.NUMERIC and _RESOLVENT_OUTPUTS.issuperset(spec.outputs):
         results = _resolvent_sweep(spec, grid)
     if results is None:
-        zeros = _zero_searches(spec, grid) if Output.DELTA0 in spec.outputs else repeat(None)
-        results = [_evaluate_point(spec, x, zero) for x, zero in zip(grid, zeros)]
+        zero = None
+        if spec.axis is Axis.DELTA_P and Output.DELTA0 in spec.outputs:
+            try:
+                zero = find_absorption_zero_auto(_point_params(spec, grid[0]), spec.medium)
+            except NumericError as exc:
+                zero = exc.code
+        results = [_evaluate_point(spec, x, zero) for x in grid]
 
     columns = [_AXIS_COLUMN[spec.axis]]
     for out in spec.outputs:

@@ -293,7 +293,7 @@ class TestSharedEvaluation:
         values = []
         for p in (plus, minus):
             observables._chi_and_derivative.cache_clear()
-            chi, dchi = observables._chi_and_derivative(p, mercury_medium, "delta_p")
+            chi, dchi = observables._chi_and_derivative(p, mercury_medium)
             values.append((bits(chi), bits(dchi)))
         assert values[0] == values[1]
 

@@ -209,15 +209,19 @@ def test_unverified_root_is_no_convergence(monkeypatch):
 
 def test_miss_costs_one_solve_and_two_hints(count_calls):
     """Both ends are hint states, so a bracket whose ends share a sign
-    costs those two hints and the solve at the upper end that confirms
-    the miss, and builds no resolvent."""
+    costs those two hints and the solve that confirms the miss at the end
+    farther from zero, hi on the positive half-axis and lo on the
+    negative, and builds no resolvent."""
     solves = count_calls("steady_state", observables)
     hints = count_calls("_hint_state", observables)
     builds = count_calls("_Resolvent", steady_state_module, sweep)
-    with pytest.raises(NumericError):
-        find_absorption_zero(SPIKE, MEDIUM, (1e-5, 1e-3))
-    assert [args[0].delta_p for args in solves] == [1e-3]
-    assert [args[0].delta_p for args in hints] == [1e-5, 1e-3]
+    for bracket, far in (((1e-5, 1e-3), 1e-3), ((-1e-3, -1e-5), -1e-3)):
+        solves.clear()
+        hints.clear()
+        with pytest.raises(NumericError, match="does not change sign"):
+            find_absorption_zero(SPIKE, MEDIUM, bracket)
+        assert [args[0].delta_p for args in solves] == [far]
+        assert [args[0].delta_p for args in hints] == list(bracket)
     assert builds == []
 
 
@@ -537,6 +541,51 @@ def test_hint_route_agrees_with_direct_route_on_seeded_draws(
         assert_same(got, want, 1e-10)
 
 
+DRAW_SETS = [
+    pytest.param(lambda rng: seeded_draw(rng, pumped=True), 25, id="pumped"),
+    pytest.param(lambda rng: seeded_draw(rng, pumped=False), 100, id="general"),
+    pytest.param(trap_edge_draw, 150, id="trap-edge"),
+]
+
+
+def mirror(p):
+    """The parameters with every detuning negated, which maps chi to
+    -conj(chi) as a function of the probe detuning."""
+    return replace(p, delta41=-p.delta41, delta42=-p.delta42, delta_p=-p.delta_p)
+
+
+@pytest.mark.parametrize("draw, count", DRAW_SETS)
+def test_the_two_sides_of_the_zero_search_are_mirror_images(draw, count):
+    """The search on one side at p is the negated search on the other
+    side at mirror(p): the same error code, or roots within 1e-10."""
+    rng = np.random.default_rng(20)
+    for p in [draw(rng) for _ in range(count)]:
+        for side in (+1, -1):
+            got = outcome(find_absorption_zero_auto, p, MEDIUM, side)
+            want = outcome(find_absorption_zero_auto, mirror(p), MEDIUM, -side)
+            assert_same(got, want if isinstance(want, str) else -want, 1e-10)
+
+
+@pytest.mark.parametrize("draw, count", DRAW_SETS)
+def test_no_zero_search_solves_a_detuning_twice(count_calls, draw, count):
+    """Each miss is confirmed at the end farther from zero, which moves as
+    the decade brackets widen, so no search on either side solves the
+    same probe detuning twice (-0.0 and 0.0 are the same detuning)."""
+    rng = np.random.default_rng(20)
+    draws = [draw(rng) for _ in range(count)]
+    solves = count_calls("steady_state", observables)
+    misses = 0
+    for p in draws:
+        for side in (+1, -1):
+            observables._chi_and_derivative.cache_clear()
+            solves.clear()
+            outcome(find_absorption_zero_auto, p, MEDIUM, side)
+            detunings = [args[0].delta_p for args in solves]
+            assert len(set(detunings)) == len(detunings), (p, side, detunings)
+            misses += len(detunings) > 1
+    assert misses > 0
+
+
 def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
     """A Newton iterate whose hint is refused is solved by steady_state,
     and no other value is: the only other solve is the check at the root."""
@@ -551,12 +600,34 @@ def test_refused_iterate_alone_is_solved_directly(monkeypatch, count_calls):
         return real(p)
 
     monkeypatch.setattr(observables, "_hint_state", refuse_first_iterate)
-    direct = count_calls("_chi_and_derivative", observables)
     solves = count_calls("steady_state", observables)
     star = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
     assert asked[:2] == [1e-8, 1e-2] and len(asked) >= 5
-    assert [args[0].lambda_pump for args in direct] == asked[2:3]
     assert [args[0].lambda_pump for args in solves] == [asked[2], star]
+    assert star == pytest.approx(expected, rel=1e-10)
+
+
+def test_refused_hint_derivative_alone_is_solved_directly(monkeypatch, count_calls):
+    """A Newton iterate whose hint passes but whose hint's derivative is
+    refused is solved by steady_state, with its derivative: the only other
+    solve is the check at the root."""
+    expected = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
+    real = observables.steady_state_derivative
+    taken = []
+
+    def refuse_first(dm, field):
+        taken.append(dm)
+        if len(taken) == 1:
+            raise NumericError("derivative refused", code="BAD_SOLUTION")
+        return real(dm, field)
+
+    monkeypatch.setattr(observables, "steady_state_derivative", refuse_first)
+    hints = count_calls("_hint_state", observables)
+    solves = count_calls("steady_state", observables)
+    star = find_gain_threshold(SPIKE, MEDIUM, (1e-8, 1e-2))
+    iterate = hints[2][0].lambda_pump
+    assert [args[0].lambda_pump for args in solves] == [iterate, star]
+    assert taken[1].system_matrix is not taken[0].system_matrix
     assert star == pytest.approx(expected, rel=1e-10)
 
 
@@ -581,6 +652,7 @@ def at_value(target, change):
 
 FINDER_CASES = [
     pytest.param(find_absorption_zero, PUMPED, (1e-5, 1e-3), "delta_p", id="zero"),
+    pytest.param(find_absorption_zero, PUMPED, (-1e-3, -1e-5), "delta_p", id="zero-negative"),
     pytest.param(find_gain_threshold, SPIKE, (1e-8, 1e-2), "lambda_pump", id="threshold"),
 ]
 
@@ -589,14 +661,16 @@ FINDER_CASES = [
 def test_wrongly_reported_miss_is_refused_by_the_solve_at_hi(
     monkeypatch, count_calls, finder, p, bracket, field
 ):
-    """A hint at the upper end with the wrong sign reports a miss where the
-    bracket holds a crossing; the steady_state solve at hi overrules it,
-    and the search finds the crossing."""
+    """A hint at the end farther from zero (hi, or lo on the negative
+    half-axis) with the wrong sign reports a miss where the bracket holds
+    a crossing; the steady_state solve at that end overrules it, and the
+    search finds the crossing."""
+    far = max(bracket, key=abs)
     direct = forced_direct(monkeypatch, finder, p, MEDIUM, bracket)
-    perturb_hints(monkeypatch, field, at_value(bracket[1], lambda rho: rho.conjugate()))
+    perturb_hints(monkeypatch, field, at_value(far, lambda rho: rho.conjugate()))
     solves = count_calls("steady_state", observables)
     assert outcome(finder, p, MEDIUM, bracket) == pytest.approx(direct, rel=1e-10)
-    assert getattr(solves[0][0], field) == bracket[1]
+    assert getattr(solves[0][0], field) == far
 
 
 def test_one_assemble_per_direct_solve_and_resolvent_build(count_calls):
