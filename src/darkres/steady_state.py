@@ -21,7 +21,8 @@ The root finders search on hint states (:func:`_hint_state`): the same
 LU with partial pivoting, by LAPACK, under the same gate.  The
 elimination stays for every reported state, since only its pivot
 threshold reports ``SINGULAR`` where rho11 is conserved: there LAPACK
-returns a state that passes the gate on some draws.
+returns a state that passes the gate on some draws.  A sweep's states come
+from a low-rank update of one solve at its base point (:class:`_Resolvent`).
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ POPULATION_TOL = 1e-8
 # ~5e-17 and derivative solves ~2e-16 over thousands of random and pumped
 # configurations, so the bound leaves two orders of magnitude of margin.
 BACKWARD_TOL = 1e-14
-# Gates of the resolvent (_Resolvent) beyond the per-state ones: the condition
-# of its eigenbasis, and its agreement with a direct solve, relative to |chi|.
-RESOLVENT_COND_MAX = 1e8
+# Gate of the resolvent (_Resolvent) beyond the per-state ones: its agreement
+# with a direct solve, relative to |chi|.
 RESOLVENT_AGREEMENT_RTOL = 1e-12
 
 _COHERENCES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -372,35 +372,32 @@ def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
 
 class _Resolvent:
     """Steady states along the field ``field`` of ``p``: A(s) = A0 + t B
-    with t = s - s0, and A0^-1 B = W diag(mu) W^-1 give x(s) = W diag(1 /
-    (1 + t mu)) W^-1 A0^-1 b (Golub & Van Loan, 7.7), so the state at s0 is
-    one more row, refined and gated like every other.  Raises ``TRAPPED``
-    as :func:`steady_state` does, and ``LinAlgError`` when A0 or W is
-    singular or cond_1(W) > ``RESOLVENT_COND_MAX``, which no row gate sees."""
+    with t = s - s0, where B is zero outside its r columns J.  With x0 =
+    A0^-1 b, Z = A0^-1 B[:, J] and C = Z[J], the Woodbury identity gives
+    x(s) = x0 - t Z (I + t C)^-1 x0[J] (Hager, SIAM Review 31 (1989);
+    Golub & Van Loan, 2.1.4): one r x r solve a row, with no eigenbasis
+    and no refinement step.  Raises ``TRAPPED`` as :func:`steady_state`
+    does, and ``LinAlgError`` when A0 is singular."""
 
     def __init__(self, p: SystemParams, field: str) -> None:
         self.s0, self.a0 = getattr(p, field), assemble(p)
         _check_trap(p)
         self.b = _basis()[1][PARAM_FIELDS.index(field)]
-        self.a0_inv = np.linalg.inv(self.a0)
-        self.mu, self.w = np.linalg.eig(self.a0_inv @ self.b)
-        self.w_inv = np.linalg.inv(self.w)
-        cond = np.max(np.sum(np.abs(self.w), axis=0)) * np.max(np.sum(np.abs(self.w_inv), axis=0))
-        if not cond <= RESOLVENT_COND_MAX:
-            raise np.linalg.LinAlgError(f"eigenbasis condition {cond:.3e} too large")
-        self.coeffs = self.w_inv @ (self.a0_inv @ RHS)
+        self.j = np.flatnonzero(self.b.any(axis=0))
+        xz = np.linalg.solve(self.a0, np.column_stack((RHS, self.b[:, self.j])))
+        self.x0, self.z, self.c = xz[:, 0], xz[:, 1:], xz[self.j, 1:]
         self.norm_a0, self.norm_b = _norm(self.a0), _norm(self.b)
 
     def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The states at the axis values ``s`` (rows), refined once, and the
-        mask of those that pass :func:`_gate`, with ||A(s)|| <= ||A0|| +
-        |t| ||B|| in the backward error."""
+        """The states at the axis values ``s`` (rows) and the mask of those
+        that pass :func:`_gate`, with ||A(s)|| <= ||A0|| + |t| ||B|| in the
+        backward error.  Raises ``LinAlgError`` when LAPACK finds some
+        I + t C singular."""
         t = (s - self.s0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = 1.0 + t * self.mu
-            x = (self.coeffs / den) @ self.w.T
-            r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
-            x += ((r @ self.a0_inv.T) @ self.w_inv.T / den) @ self.w.T
+            m = np.eye(len(self.j)) + t[:, :, None] * self.c
+            y = np.linalg.solve(m, self.x0[self.j, None])[:, :, 0]
+            x = self.x0 - t * (y @ self.z.T)
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
             return x, _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
 

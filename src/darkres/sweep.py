@@ -230,40 +230,40 @@ def _resolvent_sweep(
     """Every grid point of a NUMERIC CHI/POPULATIONS sweep from the
     resolvent built at the middle grid point, or None when the route does
     not apply to the whole sweep: when the resolvent (at a trapped base
-    too) or the cross-check solve at the last grid point (no nearer the
-    base than the first) raises, or when :meth:`_Resolvent.agrees` refuses
-    that point against the cross-check.  A point it refuses, by its gate
-    or at lambda = 0 (which may trap), is solved by :func:`_evaluate_point`
-    with no zero to share, since the route's outputs hold no DELTA0."""
+    too), one of its solves or the cross-check solve at the last grid
+    point (no nearer the base than the first) raises, or when
+    :meth:`_Resolvent.agrees` refuses that point against the cross-check.
+    A point the gate refuses or at a zero rate or coupling (which changes
+    the zero pattern of A) is solved by :func:`_evaluate_point` with no
+    zero to share, since the route's outputs hold no DELTA0."""
     field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
+    axis = np.array(grid)
+    accepted = (axis > 0) | (spec.axis is Axis.DELTA_P)
+    chi = np.empty(len(grid), dtype=complex)
+    rows: list[tuple[float, ...]] = []
     try:
         resolvent = _Resolvent(_point_params(spec, grid[base]), field)
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
+        # rejected rows may hold inf or NaN, which the gates have refused
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lo in range(0, len(grid), RESOLVENT_CHUNK):
+                block = slice(lo, lo + RESOLVENT_CHUNK)
+                x, ok = resolvent.states(axis[block])
+                accepted[block] &= ok
+                chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
+                columns = [axis[block]]
+                for out in spec.outputs:
+                    if out is Output.CHI_RE:
+                        columns.append(chi[block].real)
+                    elif out is Output.CHI_IM:
+                        columns.append(chi[block].imag)
+                    else:
+                        columns.extend(x[:, _POPULATIONS].real.T)
+                rows.extend(map(tuple, np.column_stack(columns).tolist()))
     except (SimulationError, np.linalg.LinAlgError):
         return None
-
-    axis = np.array(grid)
-    accepted = axis > 0 if field == "lambda_pump" else np.ones(len(grid), dtype=bool)
-    chi = np.empty(len(grid), dtype=complex)
-    rows: list[tuple[float, ...]] = []
-    # rejected rows may hold inf or NaN, which the gates have refused
-    with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, len(grid), RESOLVENT_CHUNK):
-            block = slice(lo, lo + RESOLVENT_CHUNK)
-            x, ok = resolvent.states(axis[block])
-            accepted[block] &= ok
-            chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
-            columns = [axis[block]]
-            for out in spec.outputs:
-                if out is Output.CHI_RE:
-                    columns.append(chi[block].real)
-                elif out is Output.CHI_IM:
-                    columns.append(chi[block].imag)
-                else:
-                    columns.extend(x[:, _POPULATIONS].real.T)
-            rows.extend(map(tuple, np.column_stack(columns).tolist()))
 
     if not resolvent.agrees(chi, accepted, far, chi_far):
         return None
@@ -280,8 +280,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     POPULATIONS takes the resolvent route (see the module docstring):
     grid points are not evaluated independently, and its values agree
     with per-point ``chi_at`` and ``steady_state`` to about 1e-12 relative
-    rather than bit for bit.  Points the route's gates reject, and every
-    other sweep, are evaluated point by point; a DELTA_P sweep with DELTA0
+    rather than bit for bit.  Points the route refuses, and every other
+    sweep, are evaluated point by point; a DELTA_P sweep with DELTA0
     runs here the one zero search that all its points share.  Per-point
     numeric failures (for example NO_SIGN_CHANGE from the absorption-zero
     finder below the gain onset) are recorded in the failure log and

@@ -528,11 +528,17 @@ class TestResolvent:
             far = np.array([1.0, 1.0, value], dtype=complex)
             assert not agrees(far, np.array([True, True, False]), 2, 1.0)
 
-    def test_ill_conditioned_eigenbasis_refused(self, monkeypatch, spike_config):
-        monkeypatch.setattr(steady_state_module, "RESOLVENT_COND_MAX", 1.0)
-        p = replace(spike_config, lambda_pump=1e-8)
-        with pytest.raises(np.linalg.LinAlgError):
-            steady_state_module._Resolvent(p, "lambda_pump")
+    def test_singular_base_raises_where_lapack_does(self):
+        # rho11 conserved: the build raises wherever LAPACK finds A0 singular
+        raised = 0
+        for p in conserved_rho11_draws()[:50]:
+            try:
+                np.linalg.solve(assemble(p), RHS)
+            except np.linalg.LinAlgError:
+                raised += 1
+                with pytest.raises(np.linalg.LinAlgError):
+                    steady_state_module._Resolvent(p, "delta_p")
+        assert raised > 0
 
     def test_trapped_base_raises_as_steady_state(self, spike_config):
         p = replace(spike_config, g41=0.0)

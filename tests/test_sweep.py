@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import workloads
 
 from darkres import (
     Axis,
@@ -483,6 +484,16 @@ def resolvent_spec(fields, axis, start, stop, points=201, spacing=Spacing.LINEAR
     )
 
 
+# sweeps whose refused resolvent must reproduce the per-point route
+REFUSABLE = [
+    resolvent_spec(PUMPED, Axis.DELTA_P, -1e-3, 1e-3, points=21),
+    resolvent_spec(
+        dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0),
+        Axis.LAMBDA, 0.0, 1e-3, points=11,
+    ),
+]
+
+
 class TestResolventRoute:
     @pytest.mark.parametrize(
         "spec",
@@ -504,7 +515,10 @@ class TestResolventRoute:
     def test_agrees_with_per_point_solves(self, count_calls, spec):
         fallbacks = count_calls("_evaluate_point", sweep)
         table = run_sweep(spec)
-        assert fallbacks == [] and table.failures == []
+        # a zero rate or coupling (here g42 = 0) is solved on its own
+        zeros = [x for x in spec.grid() if x == 0.0 and spec.axis is not Axis.DELTA_P]
+        assert [args[1] for args in fallbacks] == zeros
+        assert table.failures == []
         assert [row[0] for row in table.rows] == spec.grid()
         field = sweep._AXIS_FIELD[spec.axis]
         states = [steady_state(replace(spec.params, **{field: x})) for x in spec.grid()]
@@ -518,8 +532,7 @@ class TestResolventRoute:
                 assert abs(pop - dm.population(i)) <= 1e-12
 
     def test_trapped_point_alone_is_solved_on_its_own(self, count_calls):
-        # g41 = gamma13 = 0 traps at lambda = 0 only; the detuned drive
-        # keeps W well conditioned
+        # g41 = gamma13 = 0 traps at lambda = 0 only
         spec = resolvent_spec(
             dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0),
             Axis.LAMBDA, 0.0, 1e-3, points=101,
@@ -546,9 +559,9 @@ class TestResolventRoute:
         assert table.rows == []
         assert table.failures == [(x, "TRAPPED") for x in spec.grid()]
 
-    def test_defective_eigenbasis_takes_per_point_route(self, count_calls):
-        # at resonance the same trap leaves A0^-1 B without a usable
-        # eigenbasis (cond_1(W) ~ 1e16): every point is solved on its own
+    def test_resonant_trap_solves_only_lambda_zero_on_its_own(self, count_calls):
+        # at resonance the same trap leaves A0^-1 B defective, which the
+        # Woodbury form never diagonalizes: only lambda = 0 is solved alone
         spec = resolvent_spec(
             dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0),
             Axis.LAMBDA, 0.0, 1e-3, points=11,
@@ -556,26 +569,28 @@ class TestResolventRoute:
         rows, failures = per_point(spec)
         fallbacks = count_calls("_evaluate_point", sweep)
         table = run_sweep(spec)
-        assert len(fallbacks) == 11
+        assert [args[1] for args in fallbacks] == [0.0]
         assert (table.rows, table.failures) == (rows, failures)
 
     @pytest.mark.parametrize(
-        "fields, start, want_failures",
+        "fields, start, want_failures, want_fallbacks",
         [
             # rho_11 is conserved at g41 = gamma13 = 0, so g42 = 0 leaves a
             # consistent singular system that the resolvent would solve
-            (dict(g41=0.0, gamma13=0.0, lambda_pump=4e-5), 0.0, [(0.0, "SINGULAR")]),
-            # without the gate the populations drift 1.1e-13 from per-point
-            (dict(g41=0.04, gamma13=0.0, delta42=1.0), 1.0, []),
+            (dict(g41=0.0, gamma13=0.0, lambda_pump=4e-5), 0.0, [(0.0, "SINGULAR")], [0.0]),
+            (dict(g41=0.04, gamma13=0.0, delta42=1.0), 1.0, [], []),
         ],
         ids=["conserved-rho11", "detuned-spike"],
     )
-    def test_ill_conditioned_eigenbasis_matches_per_point(self, fields, start, want_failures):
-        # cond_1(W) is 4e279 and 2e20 on these sweeps, far above
-        # RESOLVENT_COND_MAX; rows and failures must be the per-point ones
+    def test_g42_sweeps_near_the_trap_match_per_point(
+        self, count_calls, fields, start, want_failures, want_fallbacks
+    ):
+        # the eigen route refused both sweeps (A0^-1 B ill-conditioned)
         spec = resolvent_spec(dict(g_p=1e-4, **fields), Axis.G42, start, 10.0, points=51)
         rows, failures = per_point(spec)
+        fallbacks = count_calls("_evaluate_point", sweep)
         table = run_sweep(spec)
+        assert [args[1] for args in fallbacks] == want_fallbacks
         assert table.failures == failures == want_failures
         assert len(table.rows) == len(rows)
         scale = max(abs(complex(row[1], row[2])) for row in rows)
@@ -584,26 +599,55 @@ class TestResolventRoute:
             assert abs(complex(got[1], got[2]) - complex(want[1], want[2])) <= 1e-14 * scale
             assert max(abs(a - b) for a, b in zip(got[3:], want[3:])) <= 1e-14
 
+    def test_seeded_sweeps_match_per_point(self, count_calls):
+        # the bench's draws, general and pumped, every fourth at
+        # g41 = gamma13 = 0, along four axes from the paper's scans
+        rng = np.random.default_rng(32)
+        axes = [
+            (Axis.DELTA_P, -1e-3, 1e-3), (Axis.LAMBDA, 0.0, 1e-3),
+            (Axis.G42, 0.0, 10.0), (Axis.DELTA_P, -5.0, 5.0),
+        ]
+        fallbacks = count_calls("_evaluate_point", sweep)
+        for k in range(40):
+            p = workloads._draw(rng, pumped=k % 2 == 1)
+            if k % 4 == 0:
+                p = replace(p, g41=0.0, gamma13=0.0)
+            for axis, start, stop in axes:
+                spec = replace(resolvent_spec({}, axis, start, stop, points=21), params=p)
+                rows, failures = per_point(spec)
+                fallbacks.clear()
+                table = run_sweep(spec)
+                assert all(args[1] == 0.0 for args in fallbacks)
+                assert table.failures == failures
+                assert [row[0] for row in table.rows] == [row[0] for row in rows]
+                scale = max((abs(complex(*row[1:3])) for row in rows), default=0.0)
+                for got, want in zip(table.rows, rows):
+                    assert abs(complex(*got[1:3]) - complex(*want[1:3])) <= 1e-12 * scale
+                    assert max(abs(a - b) for a, b in zip(got[3:], want[3:])) <= 1e-12
+
+    @pytest.mark.parametrize("spec", REFUSABLE, ids=["pumped", "trapped"])
+    def test_failed_batched_solve_reproduces_per_point_route(self, monkeypatch, spec):
+        rows, failures = per_point(spec)
+        solve = np.linalg.solve
+
+        def refuse_batched(a, b):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", refuse_batched)
+        table = run_sweep(spec)
+        assert (table.rows, table.failures) == (rows, failures)
+
     @pytest.mark.parametrize(
         "gate, value",
         [
             # the resolvent's backward-error gate reads the shared BACKWARD_TOL
             pytest.param("BACKWARD_TOL", -1.0, id="RESOLVENT_BACKWARD_TOL--1.0"),
-            ("RESOLVENT_COND_MAX", 0.0),
             ("RESOLVENT_AGREEMENT_RTOL", -1.0),
         ],
     )
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            resolvent_spec(PUMPED, Axis.DELTA_P, -1e-3, 1e-3, points=21),
-            resolvent_spec(
-                dict(g41=0.0, g42=4.0, g_p=1e-4, gamma13=0.0, delta42=1.0),
-                Axis.LAMBDA, 0.0, 1e-3, points=11,
-            ),
-        ],
-        ids=["pumped", "trapped"],
-    )
+    @pytest.mark.parametrize("spec", REFUSABLE, ids=["pumped", "trapped"])
     def test_failed_gate_reproduces_per_point_route(
         self, refuse_resolvent_gate, gate, value, spec
     ):
