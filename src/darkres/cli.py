@@ -78,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args: argparse.Namespace) -> SweepSpec:
-    text = args.config.read_text(encoding="utf-8") if args.config else ""
+    try:
+        text = args.config.read_text(encoding="utf-8") if args.config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc}", code="IO_ERROR") from exc
     overrides: dict[str, str] = {}
     if args.method:
         overrides["method"] = args.method

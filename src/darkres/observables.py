@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -112,18 +112,21 @@ def chi_at(
     return susceptibility(probe_coherence(p, method), m, p.g_p)
 
 
+def _state_chi(dm: DensityMatrix, m: MediumParams, g_p: float, wrt: str | None = None):
+    """Chi of the solved state ``dm`` and, given a field ``wrt``, its exact
+    derivative along it: one more solve with ``dm``'s matrix (chi is linear)."""
+    chi = susceptibility(dm.element(2, 3), m, g_p)
+    if wrt is None:
+        return chi
+    return chi, susceptibility(complex(steady_state_derivative(dm, wrt)[1, 2]), m, g_p)
+
+
 @lru_cache(maxsize=1)
 def _chi_and_derivative(p: SystemParams, m: MediumParams) -> tuple[complex, complex]:
-    """Numeric chi at ``p`` and its exact probe-detuning derivative: one
-    steady state and one derivative solve with the same matrix, since chi
-    is linear in rho23.  The last result is kept, so the zero finder's
+    """Numeric chi at ``p`` and its exact probe-detuning derivative from
+    one steady state.  The last result is kept, so the zero finder's
     verification at delta0 also serves the slope and group index there."""
-    dm = steady_state(p)
-    drho = steady_state_derivative(dm, "delta_p")
-    return (
-        susceptibility(dm.element(2, 3), m, p.g_p),
-        susceptibility(complex(drho[1, 2]), m, p.g_p),
-    )
+    return _state_chi(steady_state(p), m, p.g_p, "delta_p")
 
 
 def _chi_and_slope(
@@ -245,22 +248,13 @@ def _im_chi_crossing(
     def at(x: float) -> SystemParams:
         return replace(p, **{field: x})
 
-    def im_chi(x: float) -> float:
+    def im_chi(x: float, slope: bool = False):
+        wrt = field if slope else None
         try:
-            dm = _hint_state(at(x))
+            chi = _state_chi(_hint_state(at(x)), m, p.g_p, wrt)
         except (NumericError, np.linalg.LinAlgError):
-            dm = steady_state(at(x))
-        return susceptibility(dm.element(2, 3), m, p.g_p).imag
-
-    def im_chi_and_slope(x: float) -> tuple[float, float]:
-        try:
-            dm = _hint_state(at(x))
-            drho = steady_state_derivative(dm, field)
-        except (NumericError, np.linalg.LinAlgError):
-            dm = steady_state(at(x))
-            drho = steady_state_derivative(dm, field)
-        chi = susceptibility(dm.element(2, 3), m, p.g_p)
-        return chi.imag, susceptibility(complex(drho[1, 2]), m, p.g_p).imag
+            chi = _state_chi(steady_state(at(x)), m, p.g_p, wrt)
+        return (chi[0].imag, chi[1].imag) if slope else chi.imag
 
     f_lo, f_hi = im_chi(lo), im_chi(hi)
     if not _signs_differ(f_lo, f_hi):
@@ -271,11 +265,11 @@ def _im_chi_crossing(
         if not _signs_differ(f_lo, f_hi):
             raise NumericError(no_sign_change, code="NO_SIGN_CHANGE")
     if not in_log:
-        return _bracketed_newton(im_chi_and_slope, lo, hi, f_lo, f_hi, rel_tol=tol)
+        return _bracketed_newton(partial(im_chi, slope=True), lo, hi, f_lo, f_hi, rel_tol=tol)
 
     def in_u(u: float) -> tuple[float, float]:
         x = math.exp(u)
-        value, slope = im_chi_and_slope(x)
+        value, slope = im_chi(x, slope=True)
         return value, x * slope
 
     return math.exp(_bracketed_newton(in_u, math.log(lo), math.log(hi), f_lo, f_hi, abs_tol=tol))

@@ -18,11 +18,11 @@ states away from the trap lie within 1e-15 of the exact rational
 solution.  Every solve passes one gate, :func:`_gate`.
 
 The root finders search on hint states (:func:`_hint_state`): the same
-LU with partial pivoting, by LAPACK, under the same gate.  The
-elimination stays for every reported state, since only its pivot
-threshold reports ``SINGULAR`` where rho11 is conserved: there LAPACK
-returns a state that passes the gate on some draws.  A sweep's states come
-from a low-rank update of one solve at its base point (:class:`_Resolvent`).
+body (:func:`_state`) with LAPACK's LU in place of the elimination, which
+stays for every reported state, since only its pivot threshold reports
+``SINGULAR`` where rho11 is conserved: there LAPACK returns a state that
+passes the gate on some draws.  A sweep's states come from a low-rank
+update of the hint state at its base point (:class:`_Resolvent`).
 """
 
 from __future__ import annotations
@@ -314,6 +314,17 @@ def _check_trap(p: SystemParams) -> None:
         raise NumericError(msg, code="TRAPPED")
 
 
+def _state(p: SystemParams, solve) -> DensityMatrix:
+    """The state of ``p`` by ``solve(matrix, rhs)``, carrying its matrix,
+    read-only, after :func:`_check_trap` and before the state's validate."""
+    a = assemble(p)  # checks p before the trap test compares its fields
+    _check_trap(p)
+    a.setflags(write=False)
+    dm = DensityMatrix(rho=solve(a, RHS).reshape(4, 4), system_matrix=a)
+    dm.validate()
+    return dm
+
+
 def steady_state(p: SystemParams) -> DensityMatrix:
     """Solve for the steady-state density matrix of the driven system.
 
@@ -322,27 +333,16 @@ def steady_state(p: SystemParams) -> DensityMatrix:
     degenerate configurations, and raises ``BAD_SOLUTION`` when the state
     fails :meth:`DensityMatrix.validate`.
     """
-    a = assemble(p)  # checks p before the trap test compares its fields
-    _check_trap(p)
-    a.setflags(write=False)
-    dm = DensityMatrix(rho=solve_linear(a, RHS).reshape(4, 4), system_matrix=a)
-    dm.validate()
-    return dm
+    return _state(p, solve_linear)
 
 
 def _hint_state(p: SystemParams) -> DensityMatrix:
     """The state of :func:`steady_state` from one LAPACK solve, without
-    :func:`solve_linear`'s pivot threshold: a hint for the root finders,
-    never a reported number, since it may pass the gate where no steady
-    state is unique (rho11 conserved).  Raises ``TRAPPED``,
-    ``BAD_SOLUTION`` and, where LAPACK finds the matrix singular,
-    ``LinAlgError``."""
-    a = assemble(p)
-    _check_trap(p)
-    a.setflags(write=False)
-    dm = DensityMatrix(rho=np.linalg.solve(a, RHS).reshape(4, 4), system_matrix=a)
-    dm.validate()
-    return dm
+    :func:`solve_linear`'s pivot threshold: a root finder's hint and a
+    sweep resolvent's base, never a number reported alone, since it may
+    pass the gate where no steady state is unique (rho11 conserved).
+    Raises ``TRAPPED``, ``BAD_SOLUTION`` and ``LinAlgError`` (singular)."""
+    return _state(p, np.linalg.solve)
 
 
 def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
@@ -373,20 +373,19 @@ def steady_state_derivative(dm: DensityMatrix, wrt: str) -> np.ndarray:
 class _Resolvent:
     """Steady states along the field ``field`` of ``p``: A(s) = A0 + t B
     with t = s - s0, where B is zero outside its r columns J.  With x0 =
-    A0^-1 b, Z = A0^-1 B[:, J] and C = Z[J], the Woodbury identity gives
-    x(s) = x0 - t Z (I + t C)^-1 x0[J] (Hager, SIAM Review 31 (1989);
-    Golub & Van Loan, 2.1.4): one r x r solve a row, with no eigenbasis
-    and no refinement step.  Raises ``TRAPPED`` as :func:`steady_state`
-    does, and ``LinAlgError`` when A0 is singular."""
+    A0^-1 b the hint state of ``p`` (:func:`_hint_state`), Z = A0^-1 B[:, J]
+    and C = Z[J], the Woodbury identity gives x(s) = x0 - t Z (I + t C)^-1
+    x0[J] (Hager, SIAM Review 31 (1989); Golub & Van Loan, 2.1.4): one
+    r x r solve a row, with no eigenbasis and no refinement step.  Raises
+    what :func:`_hint_state` raises."""
 
     def __init__(self, p: SystemParams, field: str) -> None:
-        self.s0, self.a0 = getattr(p, field), assemble(p)
-        _check_trap(p)
+        base = _hint_state(p)
+        self.s0, self.a0, self.x0 = getattr(p, field), base.system_matrix, base.rho.reshape(16)
         self.b = _basis()[1][PARAM_FIELDS.index(field)]
         self.j = np.flatnonzero(self.b.any(axis=0))
-        xz = np.linalg.solve(self.a0, np.column_stack((RHS, self.b[:, self.j])))
-        self.x0, self.z, self.c = xz[:, 0], xz[:, 1:], xz[self.j, 1:]
-        self.norm_a0, self.norm_b = _norm(self.a0), _norm(self.b)
+        self.z = np.linalg.solve(self.a0, self.b[:, self.j])
+        self.c, self.norm_a0, self.norm_b = self.z[self.j], _norm(self.a0), _norm(self.b)
 
     def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states at the axis values ``s`` (rows) and the mask of those

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, NumericError, ParameterError, SimulationError
-from .model import MediumParams, SystemParams
+from .model import MediumParams, SystemParams, check_params
 from .observables import (
     Method,
     chi_at,
@@ -228,15 +228,14 @@ def _resolvent_sweep(
     spec: SweepSpec, grid: list[float]
 ) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
     """Every grid point of a NUMERIC CHI/POPULATIONS sweep from the
-    resolvent built at the middle grid point, or None when the route does
-    not apply to the whole sweep: when the resolvent (at a trapped base
-    too), one of its solves or the cross-check solve at the last grid
-    point (no nearer the base than the first) raises, or when
-    :meth:`_Resolvent.agrees` refuses that point against the cross-check.
+    resolvent on the hint state at the middle grid point, or None when the
+    route does not apply to the whole sweep: when the build (at a trapped
+    or refused base too), one of its solves or the cross-check solve at
+    the last grid point (no nearer the base than the first) raises, or
+    when :meth:`_Resolvent.agrees` refuses that point against it.
     A point the gate refuses or at a zero rate or coupling (which changes
     the zero pattern of A) is solved by :func:`_evaluate_point` with no
     zero to share, since the route's outputs hold no DELTA0."""
-    field = _AXIS_FIELD[spec.axis]
     base = (len(grid) - 1) // 2
     far = len(grid) - 1
     axis = np.array(grid)
@@ -244,7 +243,7 @@ def _resolvent_sweep(
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
     try:
-        resolvent = _Resolvent(_point_params(spec, grid[base]), field)
+        resolvent = _Resolvent(_point_params(spec, grid[base]), _AXIS_FIELD[spec.axis])
         chi_far = chi_at(_point_params(spec, grid[far]), spec.medium)
         # rejected rows may hold inf or NaN, which the gates have refused
         with np.errstate(invalid="ignore", over="ignore"):
@@ -383,7 +382,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
     Unknown keys are rejected; malformed lines report their line number.
     ``overrides`` (e.g. from command-line --set flags) take precedence
     over file values and are parsed with the same rules.  Medium values
-    out of range, NaN or infinite are rejected here with ``RANGE_ERROR``.
+    out of range, NaN or infinite are rejected here with ``RANGE_ERROR``,
+    system parameters with the ``ParameterError`` that the solvers raise.
     """
     values: dict[str, object] = {
         key: _parse_value(key, entry[3], "default") for key, entry in _KEY_TABLE.items()
@@ -416,6 +416,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SweepSpe
         params=SystemParams(**fields[SystemParams]), medium=medium, **fields[SweepSpec]
     )
     spec.validate()
+    check_params(spec.params)
     return spec
 
 
@@ -481,17 +482,3 @@ def write_csv(table: SweepTable, destination: str | Path | IO[str]) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write {destination}: {exc}", code="IO_ERROR") from exc
 
-
-def read_csv_rows(source: Iterable[str]) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Read back a table written by :func:`write_csv` (comments skipped)."""
-    columns: list[str] = []
-    rows: list[tuple[float, ...]] = []
-    for line in source:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not columns:
-            columns = line.split(",")
-            continue
-        rows.append(tuple(float(tok) for tok in line.split(",")))
-    return columns, rows

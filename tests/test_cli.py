@@ -1,11 +1,10 @@
 import importlib
-import io
 
 import pytest
+from checks import parse_csv
 
 from darkres import Method, chi_at, find_gain_threshold, observables, run_sweep
 from darkres.cli import main
-from darkres.sweep import read_csv_rows
 
 steady_state_module = importlib.import_module("darkres.steady_state")
 
@@ -77,6 +76,18 @@ class TestExitCodes:
         assert code == 2
         assert "RANGE_ERROR" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_io_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "spike.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"g41 = 0.04  # \xb5 in Latin-1\n")
+        code, out, err = run_cli(["spectrum", "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error [IO_ERROR]: cannot read ")
+        assert out == ""
+
     def test_bad_set_flag(self, capsys):
         code, _, err = run_cli(["spectrum", "--set", "g41"], capsys)
         assert code == 2
@@ -89,21 +100,38 @@ class TestExitCodes:
             pytest.param("spectrum", "g42=inf", id="g42=inf"),
             ("dressed", "g41=nan"),
             ("dressed", "g41=inf"),
+            # dressed solves nothing, so only the config parse checks these
+            ("dressed", "gamma41=nan"),
+            ("dressed", "lambda=inf"),
         ],
     )
     def test_nonfinite_parameter_is_parameter_error(self, spike_file, capsys, command, setting):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             [command, "--config", str(spike_file), "--set", setting], capsys
         )
         assert code == 2
         assert "NONFINITE_PARAMETER" in err
+        assert out == ""
 
     def test_negative_rabi_is_parameter_error(self, spike_file, capsys):
+        for setting in ("g42=-4", "gp=-1e-4"):
+            code, out, err = run_cli(
+                ["dressed", "--config", str(spike_file), "--set", setting], capsys
+            )
+            assert code == 2
+            assert "NEGATIVE_RABI" in err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "setting, field", [("gamma13=-1", "gamma13"), ("lambda=-1e-5", "lambda_pump")]
+    )
+    def test_negative_rate_is_parameter_error(self, spike_file, capsys, setting, field):
+        # the solvers' code and message, from the config parse
         code, out, err = run_cli(
-            ["dressed", "--config", str(spike_file), "--set", "g42=-4"], capsys
+            ["dressed", "--config", str(spike_file), "--set", setting], capsys
         )
         assert code == 2
-        assert "NEGATIVE_RABI" in err
+        assert err == f"error [NEGATIVE_RATE]: {field} must be >= 0\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -171,13 +199,13 @@ class TestSpectrum:
             ["spectrum", "--config", str(spike_file), "--out", str(out)], capsys
         )
         assert code == 0
-        cols, rows = read_csv_rows(out.read_text().splitlines())
+        _, cols, rows = parse_csv(out.read_text())
         assert cols == ["delta_p", "chi_re", "chi_im"]
         assert len(rows) == 11
         from darkres import parse_config
 
         spec = parse_config(SPIKE_CONFIG)
-        assert rows == run_sweep(spec).rows
+        assert rows == [list(row) for row in run_sweep(spec).rows]
         assert_close_to_chi_at(spec, rows)
 
     def test_stdout_when_no_out(self, spike_file, capsys):
@@ -201,7 +229,7 @@ class TestZeroAndThreshold:
     def test_zero_prints_both_crossings(self, pumped_file, capsys):
         code, out, _ = run_cli(["zero", "--config", str(pumped_file)], capsys)
         assert code == 0
-        cols, rows = read_csv_rows(io.StringIO(out))
+        _, cols, rows = parse_csv(out)
         assert cols == ["delta0"]
         values = sorted(v for (v,) in rows)
         assert values[0] == pytest.approx(-2.624e-4, rel=1e-3)
@@ -238,7 +266,7 @@ class TestZeroAndThreshold:
     def test_threshold(self, spike_file, capsys):
         code, out, _ = run_cli(["threshold", "--config", str(spike_file)], capsys)
         assert code == 0
-        _, rows = read_csv_rows(io.StringIO(out))
+        _, _, rows = parse_csv(out)
         star = rows[0][0]
         from darkres import parse_config
 
@@ -256,7 +284,7 @@ class TestZeroAndThreshold:
             capsys,
         )
         assert code == 0
-        _, rows = read_csv_rows(io.StringIO(out))
+        _, _, rows = parse_csv(out)
         assert rows[0][0] == pytest.approx(1.644e-5, rel=1e-2)
 
 
@@ -290,7 +318,7 @@ class TestCompare:
         )
         assert meta["analytic_method"] == "ANALYTIC_FULL"
         assert float(meta["max_rel_diff"]) <= 1e-2
-        cols, rows = read_csv_rows(io.StringIO(out))
+        _, cols, rows = parse_csv(out)
         assert cols[-1] == "rel_diff"
         assert len(rows) == 40
 
@@ -307,7 +335,7 @@ class TestCompare:
         )
         assert code == 0
         assert "code=DIVISION_DEGENERATE" in out
-        _, rows = read_csv_rows(io.StringIO(out))
+        _, _, rows = parse_csv(out)
         assert len(rows) == 2
 
     def test_numeric_columns_are_the_spectrum(self, tmp_path, capsys, count_calls):
@@ -322,8 +350,8 @@ class TestCompare:
         solves = count_calls("steady_state", sweep, observables)
         code, compare, _ = run_cli(["compare", "--config", str(cfg)], capsys)
         assert code == 0
-        _, want = read_csv_rows(io.StringIO(spectrum))
-        _, rows = read_csv_rows(io.StringIO(compare))
+        _, _, want = parse_csv(spectrum)
+        _, _, rows = parse_csv(compare)
         assert len(rows) == 2001
         assert [row[:3] for row in rows] == want
         assert len(solves) <= 3
@@ -340,8 +368,8 @@ def test_cli_values_match_library(pumped_file, capsys):
     from darkres import parse_config
 
     spec = parse_config(PUMPED_CONFIG, overrides={"points": "5"})
-    _, rows = read_csv_rows(io.StringIO(out))
-    assert rows == run_sweep(spec).rows
+    _, _, rows = parse_csv(out)
+    assert rows == [list(row) for row in run_sweep(spec).rows]
     assert_close_to_chi_at(spec, rows)
 
 
@@ -358,7 +386,7 @@ def test_bench_spectrum_takes_the_resolvent_route(tmp_path, capsys, count_calls)
     out = tmp_path / "spectrum.csv"
     code, _, _ = run_cli(["spectrum", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == 0
-    _, rows = read_csv_rows(out.read_text().splitlines())
+    _, _, rows = parse_csv(out.read_text())
     assert len(rows) == 2001
     assert len(solves) <= 3
     assert len(chis) >= 1

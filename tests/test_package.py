@@ -90,3 +90,34 @@ def test_every_solve_stays_in_steady_state():
     outside = [call for call in calls if call[0] != "steady_state.py" and call[1] in {"solve", "inv"}]
     assert outside == []
     assert [call for call in calls if call[1].startswith("eig")] == []
+
+
+def test_every_public_definition_serves_the_program():
+    # a public module-level function or class of src/ is exported or used
+    # by the program itself: by another module, or by its own outside its
+    # definition; code that only the tests call belongs in the tests
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "darkres").glob("*.py"))
+    }
+
+    def used(name, module, definition):
+        inside = {id(node) for node in ast.walk(definition)}
+        return any(
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            for other, tree in trees.items()
+            for node in ast.walk(tree)
+            if other != module or id(node) not in inside
+        )
+
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in darkres.__all__
+        and not used(node.name, module, node)
+    ]
+    assert unused == []

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import workloads
+from checks import parse_csv
 
 from darkres import (
     Axis,
@@ -28,7 +29,8 @@ from darkres import (
 )
 from darkres import observables, sweep
 from darkres.observables import _SEED_BRACKET_REL, _first_order_zero
-from darkres.sweep import MAX_POINTS, read_csv_rows, spec_metadata
+from darkres.sweep import MAX_POINTS, spec_metadata
+from test_steady_state import conserved_rho11_draws
 
 steady_state_module = importlib.import_module("darkres.steady_state")
 
@@ -338,9 +340,9 @@ class TestWriteCsv:
         table = run_sweep(replace(spectrum_spec, points=5))
         buf = io.StringIO()
         write_csv(table, buf)
-        cols, rows = read_csv_rows(io.StringIO(buf.getvalue()))
+        _, cols, rows = parse_csv(buf.getvalue())
         assert cols == table.columns
-        assert rows == table.rows
+        assert rows == [list(row) for row in table.rows]
 
     def test_spectrum_columns(self, spectrum_spec):
         table = run_sweep(replace(spectrum_spec, points=3))
@@ -624,6 +626,46 @@ class TestResolventRoute:
                 for got, want in zip(table.rows, rows):
                     assert abs(complex(*got[1:3]) - complex(*want[1:3])) <= 1e-12 * scale
                     assert max(abs(a - b) for a, b in zip(got[3:], want[3:])) <= 1e-12
+
+    def test_cross_check_refuses_sweeps_without_a_unique_state(self):
+        # where no steady state is unique, LAPACK's base state and the
+        # resolvent's rows can pass the gate; only the far-end chi_at
+        # raises SINGULAR and sends the sweep point by point, where every
+        # point fails
+        literals = [
+            # |4> isolated: g41 = g42 = gamma41 = gamma42 = 0
+            SystemParams(
+                g_p=0.0796, delta42=3.27, gamma23=0.933, gamma13=0.0985, lambda_pump=0.00463
+            ),
+            # g42 = gamma42 = gamma13 = 0
+            SystemParams(
+                g41=0.358, g_p=0.0923, delta42=-0.121, gamma41=1.34, gamma23=0.433,
+                lambda_pump=0.0437,
+            ),
+            # g41 = g42 = gamma23 = lambda = 0
+            SystemParams(g_p=0.0293, gamma41=1.74, gamma42=1.82, gamma13=0.0969),
+            # only g41, g_p and delta41 nonzero
+            SystemParams(g41=0.103, g_p=0.013, delta41=1.46),
+        ]
+        checked = 0
+        for p in conserved_rho11_draws() + literals:
+            spec = SweepSpec(
+                params=p, medium=MediumParams(), axis=Axis.DELTA_P, start=-1e-3, stop=1e-3,
+                points=21,
+            )
+            grid = spec.grid()
+            try:
+                resolvent = steady_state_module._Resolvent(replace(p, delta_p=grid[10]), "delta_p")
+            except (NumericError, np.linalg.LinAlgError):
+                assert p not in literals
+                continue
+            assert resolvent.states(np.array(grid))[1].any()
+            rows, failures = per_point(spec)
+            table = run_sweep(spec)
+            assert table.rows == rows == []
+            assert table.failures == failures == [(x, "SINGULAR") for x in grid]
+            checked += 1
+        assert checked >= 50 + len(literals)
 
     @pytest.mark.parametrize("spec", REFUSABLE, ids=["pumped", "trapped"])
     def test_failed_batched_solve_reproduces_per_point_route(self, monkeypatch, spec):
