@@ -382,6 +382,7 @@ class _Resolvent:
     def __init__(self, p: SystemParams, field: str) -> None:
         base = _hint_state(p)
         self.s0, self.a0, self.x0 = getattr(p, field), base.system_matrix, base.rho.reshape(16)
+        self.detuning = field.startswith("delta")
         self.b = _basis()[1][PARAM_FIELDS.index(field)]
         self.j = np.flatnonzero(self.b.any(axis=0))
         self.z = np.linalg.solve(self.a0, self.b[:, self.j])
@@ -390,15 +391,17 @@ class _Resolvent:
     def states(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The states at the axis values ``s`` (rows) and the mask of those
         that pass :func:`_gate`, with ||A(s)|| <= ||A0|| + |t| ||B|| in the
-        backward error.  Raises ``LinAlgError`` when LAPACK finds some
-        I + t C singular."""
+        backward error, and that keep A's zero pattern: a rate or coupling
+        at exactly 0 is refused, since there it may have no unique state.
+        Raises ``LinAlgError`` when LAPACK finds some I + t C singular."""
         t = (s - self.s0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             m = np.eye(len(self.j)) + t[:, :, None] * self.c
             y = np.linalg.solve(m, self.x0[self.j, None])[:, :, 0]
             x = self.x0 - t * (y @ self.z.T)
             r = RHS - (x @ self.a0.T + t * (x @ self.b.T))
-            return x, _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
+            ok = _gate(x, r, self.norm_a0 + np.abs(t[:, 0]) * self.norm_b, 1.0)
+            return x, ok & ((s != 0) | self.detuning)
 
     @staticmethod
     def agrees(chi: np.ndarray, ok: np.ndarray, far: int, reference: complex) -> bool:

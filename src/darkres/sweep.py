@@ -6,12 +6,13 @@ few sweeps composed externally).  Failed points are logged with their
 error code instead of aborting, and identical specs produce byte-identical
 data.
 
-Grid points are not evaluated independently when the outputs are all read
-off the numeric steady state (CHI_RE, CHI_IM, POPULATIONS): they come from
-the resolvent along the sweep axis (``steady_state._Resolvent``) built at
-the middle grid point, and a point it refuses falls back to its own solve;
-other sweeps solve point by point.  A DELTA_P sweep with DELTA0 runs one
-zero search for all its points, since the search does not read the probe
+When the outputs are all read off the numeric steady state (CHI_RE,
+CHI_IM, POPULATIONS), the resolvent along the sweep axis
+(``steady_state._Resolvent``), built at the middle grid point, offers a
+row for every grid point, or None where it does not vouch for one.  One
+rule then covers every sweep: a point takes the row it is offered, else
+it is evaluated on its own.  A DELTA_P sweep with DELTA0 runs one zero
+search for all its points, since the search does not read the probe
 detuning.
 """
 
@@ -173,73 +174,55 @@ def _point_params(spec: SweepSpec, x: float) -> SystemParams:
     return replace(spec.params, **{_AXIS_FIELD[spec.axis]: x})
 
 
-def _evaluate_point(
-    spec: SweepSpec, x: float, zero: float | str | None = None
-) -> tuple[float, tuple[float, ...] | None, str | None]:
-    """Compute all requested outputs at one axis value.  With DELTA0,
-    ``zero`` is the crossing a DELTA_P sweep shares or its search's error
-    code (:func:`run_sweep`); when None, the point runs its own search.
-
-    Returns (x, row, None) on success or (x, None, error_code) when any
-    requested output fails numerically.
+def _evaluate_point(spec: SweepSpec, x: float, zero: float | None = None) -> tuple[float, ...]:
+    """All requested outputs at one axis value, as a row.  With DELTA0,
+    ``zero`` is the crossing a DELTA_P sweep shares (:func:`run_sweep`);
+    when None, the point runs its own search.  Raises ``NumericError``
+    when any requested output fails numerically.
     """
-    if isinstance(zero, str):
-        return x, None, zero
     p = _point_params(spec, x)
-    try:
-        values: list[float] = [x]
-        delta0: float | None = None
-        if Output.DELTA0 in spec.outputs:
-            delta0 = find_absorption_zero_auto(p, spec.medium) if zero is None else zero
-        eval_dp = delta0 if delta0 is not None else p.delta_p
-        chi = dm = None
-        if Output.CHI_RE in spec.outputs or Output.CHI_IM in spec.outputs:
-            if spec.method is Method.NUMERIC and Output.POPULATIONS in spec.outputs:
+    values: list[float] = [x]
+    delta0: float | None = None
+    if Output.DELTA0 in spec.outputs:
+        delta0 = find_absorption_zero_auto(p, spec.medium) if zero is None else zero
+    eval_dp = delta0 if delta0 is not None else p.delta_p
+    chi = dm = None
+    if Output.CHI_RE in spec.outputs or Output.CHI_IM in spec.outputs:
+        if spec.method is Method.NUMERIC and Output.POPULATIONS in spec.outputs:
+            dm = steady_state(p)
+            chi = susceptibility(dm.element(2, 3), spec.medium, p.g_p)
+        else:
+            chi = chi_at(p, spec.medium, method=spec.method)
+    for out in spec.outputs:
+        if out is Output.CHI_RE:
+            values.append(chi.real)
+        elif out is Output.CHI_IM:
+            values.append(chi.imag)
+        elif out is Output.SLOPE:
+            slope, err = dispersion_slope(p, spec.medium, eval_dp, method=spec.method)
+            values.extend((slope, err))
+        elif out is Output.NG:
+            values.append(group_index(p, spec.medium, eval_dp, method=spec.method))
+        elif out is Output.DELTA0:
+            values.append(delta0)
+        elif out is Output.POPULATIONS:
+            if dm is None:
                 dm = steady_state(p)
-                chi = susceptibility(dm.element(2, 3), spec.medium, p.g_p)
-            else:
-                chi = chi_at(p, spec.medium, method=spec.method)
-        for out in spec.outputs:
-            if out is Output.CHI_RE:
-                values.append(chi.real)
-            elif out is Output.CHI_IM:
-                values.append(chi.imag)
-            elif out is Output.SLOPE:
-                slope, err = dispersion_slope(
-                    p, spec.medium, eval_dp, method=spec.method
-                )
-                values.extend((slope, err))
-            elif out is Output.NG:
-                values.append(
-                    group_index(p, spec.medium, eval_dp, method=spec.method)
-                )
-            elif out is Output.DELTA0:
-                values.append(delta0)
-            elif out is Output.POPULATIONS:
-                if dm is None:
-                    dm = steady_state(p)
-                values.extend(dm.population(i) for i in (1, 2, 3, 4))
-        return x, tuple(values), None
-    except NumericError as exc:
-        return x, None, exc.code
+            values.extend(dm.population(i) for i in (1, 2, 3, 4))
+    return tuple(values)
 
 
-def _resolvent_sweep(
-    spec: SweepSpec, grid: list[float]
-) -> list[tuple[float, tuple[float, ...] | None, str | None]] | None:
-    """Every grid point of a NUMERIC CHI/POPULATIONS sweep from the
-    resolvent on the hint state at the middle grid point, or None when the
-    route does not apply to the whole sweep: when the build (at a trapped
-    or refused base too), one of its solves or the cross-check solve at
-    the last grid point (no nearer the base than the first) raises, or
-    when :meth:`_Resolvent.agrees` refuses that point against it.
-    A point the gate refuses or at a zero rate or coupling (which changes
-    the zero pattern of A) is solved by :func:`_evaluate_point` with no
-    zero to share, since the route's outputs hold no DELTA0."""
-    base = (len(grid) - 1) // 2
-    far = len(grid) - 1
+def _resolvent_sweep(spec: SweepSpec, grid: list[float]) -> list[tuple[float, ...] | None]:
+    """One entry per grid point of a NUMERIC CHI/POPULATIONS sweep: the
+    row the resolvent on the hint state at the middle grid point vouches
+    for, or None.  A row is None where :meth:`_Resolvent.states` refuses
+    it, and every row is None when the build (at a trapped or refused
+    base too), one of its solves or the cross-check solve at the last grid
+    point (no nearer the base than the first) raises, or when
+    :meth:`_Resolvent.agrees` refuses that point against it."""
+    base, far = (len(grid) - 1) // 2, len(grid) - 1
     axis = np.array(grid)
-    accepted = (axis > 0) | (spec.axis is Axis.DELTA_P)
+    accepted = np.empty(len(grid), dtype=bool)
     chi = np.empty(len(grid), dtype=complex)
     rows: list[tuple[float, ...]] = []
     try:
@@ -249,8 +232,7 @@ def _resolvent_sweep(
         with np.errstate(invalid="ignore", over="ignore"):
             for lo in range(0, len(grid), RESOLVENT_CHUNK):
                 block = slice(lo, lo + RESOLVENT_CHUNK)
-                x, ok = resolvent.states(axis[block])
-                accepted[block] &= ok
+                x, accepted[block] = resolvent.states(axis[block])
                 chi[block] = susceptibility(x[:, _index(2, 3)], spec.medium, spec.params.g_p)
                 columns = [axis[block]]
                 for out in spec.outputs:
@@ -262,53 +244,49 @@ def _resolvent_sweep(
                         columns.extend(x[:, _POPULATIONS].real.T)
                 rows.extend(map(tuple, np.column_stack(columns).tolist()))
     except (SimulationError, np.linalg.LinAlgError):
-        return None
-
-    if not resolvent.agrees(chi, accepted, far, chi_far):
-        return None
-    return [
-        (value, row, None) if ok else _evaluate_point(spec, value)
-        for value, row, ok in zip(grid, rows, accepted.tolist())
-    ]
+        return [None] * len(grid)
+    vouched = resolvent.agrees(chi, accepted, far, chi_far)
+    return [row if ok and vouched else None for row, ok in zip(rows, accepted.tolist())]
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep in grid order.
 
-    A NUMERIC sweep whose outputs are all among CHI_RE, CHI_IM and
-    POPULATIONS takes the resolvent route (see the module docstring):
-    grid points are not evaluated independently, and its values agree
-    with per-point ``chi_at`` and ``steady_state`` to about 1e-12 relative
-    rather than bit for bit.  Points the route refuses, and every other
-    sweep, are evaluated point by point; a DELTA_P sweep with DELTA0
-    runs here the one zero search that all its points share.  Per-point
-    numeric failures (for example NO_SIGN_CHANGE from the absorption-zero
-    finder below the gain onset) are recorded in the failure log and
-    excluded from the rows; spec-level validation errors are fatal.
+    This is the one place that decides how each grid point is computed:
+    a NUMERIC sweep whose outputs are all among CHI_RE, CHI_IM and
+    POPULATIONS takes every row the resolvent route vouches for (see the
+    module docstring), whose values agree with per-point ``chi_at`` and
+    ``steady_state`` to about 1e-12 relative rather than bit for bit;
+    every other point, and every point of every other sweep, is evaluated
+    on its own.  A DELTA_P sweep with DELTA0 runs here the one zero search
+    that all its points share, and when that search fails every point
+    fails with its code.  Per-point numeric failures (for example
+    NO_SIGN_CHANGE from the absorption-zero finder below the gain onset)
+    are recorded in the failure log and excluded from the rows;
+    spec-level validation errors are fatal.
     """
     spec.validate()
     grid = spec.grid()
-    results = None
-    if spec.method is Method.NUMERIC and _RESOLVENT_OUTPUTS.issuperset(spec.outputs):
-        results = _resolvent_sweep(spec, grid)
-    if results is None:
-        zero = None
-        if spec.axis is Axis.DELTA_P and Output.DELTA0 in spec.outputs:
-            try:
-                zero = find_absorption_zero_auto(_point_params(spec, grid[0]), spec.medium)
-            except NumericError as exc:
-                zero = exc.code
-        results = [_evaluate_point(spec, x, zero) for x in grid]
-
     columns = [_AXIS_COLUMN[spec.axis]]
     for out in spec.outputs:
         columns.extend(_OUTPUT_COLUMNS[out])
-
-    rows = [row for _, row, code in results if code is None]
-    failures = [(x, code) for x, _, code in results if code is not None]
-    return SweepTable(
-        columns=columns, rows=rows, metadata=spec_metadata(spec), failures=failures
-    )
+    table = SweepTable(columns=columns, rows=[], metadata=spec_metadata(spec), failures=[])
+    routed: list[tuple[float, ...] | None] = [None] * len(grid)
+    if spec.method is Method.NUMERIC and _RESOLVENT_OUTPUTS.issuperset(spec.outputs):
+        routed = _resolvent_sweep(spec, grid)
+    zero = None
+    if spec.axis is Axis.DELTA_P and Output.DELTA0 in spec.outputs:
+        try:
+            zero = find_absorption_zero_auto(_point_params(spec, grid[0]), spec.medium)
+        except NumericError as exc:
+            table.failures = [(x, exc.code) for x in grid]
+            return table
+    for x, row in zip(grid, routed):
+        try:
+            table.rows.append(_evaluate_point(spec, x, zero) if row is None else row)
+        except NumericError as exc:
+            table.failures.append((x, exc.code))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -461,10 +461,27 @@ class TestWriteCsv:
 
 def per_point(spec):
     """Rows and failures of the point-by-point route."""
-    results = [sweep._evaluate_point(spec, x) for x in spec.grid()]
-    rows = [row for _, row, code in results if code is None]
-    failures = [(x, code) for x, _, code in results if code is not None]
+    rows, failures = [], []
+    for x in spec.grid():
+        try:
+            rows.append(sweep._evaluate_point(spec, x))
+        except NumericError as exc:
+            failures.append((x, exc.code))
     return rows, failures
+
+
+def routed_and_table(spec, fallbacks):
+    """The resolvent route's entries for ``spec`` and its ``run_sweep``
+    table, checking the route's contract: one entry per grid point, and
+    ``run_sweep`` evaluates on its own exactly the points whose entry is
+    None (``fallbacks`` records the calls of ``_evaluate_point``)."""
+    grid = spec.grid()
+    routed = sweep._resolvent_sweep(spec, grid)
+    assert len(routed) == len(grid)
+    fallbacks.clear()
+    table = run_sweep(spec)
+    assert [args[1] for args in fallbacks] == [x for x, row in zip(grid, routed) if row is None]
+    return routed, table
 
 
 PUMPED = dict(g41=0.04, g42=4.0, g_p=1e-4, gamma13=0.0, lambda_pump=4e-5)
@@ -627,7 +644,7 @@ class TestResolventRoute:
                     assert abs(complex(*got[1:3]) - complex(*want[1:3])) <= 1e-12 * scale
                     assert max(abs(a - b) for a, b in zip(got[3:], want[3:])) <= 1e-12
 
-    def test_cross_check_refuses_sweeps_without_a_unique_state(self):
+    def test_cross_check_refuses_sweeps_without_a_unique_state(self, count_calls):
         # where no steady state is unique, LAPACK's base state and the
         # resolvent's rows can pass the gate; only the far-end chi_at
         # raises SINGULAR and sends the sweep point by point, where every
@@ -648,6 +665,7 @@ class TestResolventRoute:
             SystemParams(g41=0.103, g_p=0.013, delta41=1.46),
         ]
         checked = 0
+        fallbacks = count_calls("_evaluate_point", sweep)
         for p in conserved_rho11_draws() + literals:
             spec = SweepSpec(
                 params=p, medium=MediumParams(), axis=Axis.DELTA_P, start=-1e-3, stop=1e-3,
@@ -661,14 +679,17 @@ class TestResolventRoute:
                 continue
             assert resolvent.states(np.array(grid))[1].any()
             rows, failures = per_point(spec)
-            table = run_sweep(spec)
+            routed, table = routed_and_table(spec, fallbacks)
+            assert routed == [None] * len(grid)
             assert table.rows == rows == []
             assert table.failures == failures == [(x, "SINGULAR") for x in grid]
             checked += 1
         assert checked >= 50 + len(literals)
 
     @pytest.mark.parametrize("spec", REFUSABLE, ids=["pumped", "trapped"])
-    def test_failed_batched_solve_reproduces_per_point_route(self, monkeypatch, spec):
+    def test_failed_batched_solve_reproduces_per_point_route(
+        self, monkeypatch, count_calls, spec
+    ):
         rows, failures = per_point(spec)
         solve = np.linalg.solve
 
@@ -678,7 +699,8 @@ class TestResolventRoute:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", refuse_batched)
-        table = run_sweep(spec)
+        routed, table = routed_and_table(spec, count_calls("_evaluate_point", sweep))
+        assert routed == [None] * spec.points
         assert (table.rows, table.failures) == (rows, failures)
 
     @pytest.mark.parametrize(
@@ -691,11 +713,11 @@ class TestResolventRoute:
     )
     @pytest.mark.parametrize("spec", REFUSABLE, ids=["pumped", "trapped"])
     def test_failed_gate_reproduces_per_point_route(
-        self, refuse_resolvent_gate, gate, value, spec
+        self, refuse_resolvent_gate, count_calls, gate, value, spec
     ):
         rows, failures = per_point(spec)
         refuse_resolvent_gate(gate, value)
-        table = run_sweep(spec)
+        _, table = routed_and_table(spec, count_calls("_evaluate_point", sweep))
         assert table.rows == rows
         assert table.failures == failures
 
